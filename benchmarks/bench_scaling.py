@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import pytest
 
+from repro.backends import SqliteBackend
+from repro.backends.normalize import canonical_rows, rows_match
 from repro.datasets import TpchConfig, generate_tpch
 from repro.engine import KeywordSearchEngine
 from repro.experiments import TPCH_QUERIES, pick_interpretation, spec_by_id
@@ -56,21 +58,26 @@ def test_execution_time_grows_with_data(benchmark, scale, engines):
     benchmark.extra_info["suppliers"] = len(result)
 
 
-@pytest.mark.parametrize("mode", ["compiled", "interpreted"])
-def test_execution_by_mode(benchmark, mode, engines):
-    """Compiled plans vs per-row AST interpretation on the large scale.
+def test_execution_by_mode(benchmark, engines):
+    """Compiled-plan execution on the large scale, checked against SQLite.
 
-    Same Select, same database, same results — the compiled path swaps
-    tree-walk evaluation for closures and index-backed scans.
+    The warm executor times the compiled path; its answer must equal the
+    SQLite backend's canonical row multiset for the same Select.
     """
     engine = engines["large"]
     chosen = pick_interpretation(engine.compile(T6.text), T6)
     select = chosen.select
-    executor = Executor(engine.database, compile_plans=(mode == "compiled"))
+    executor = Executor(engine.database)
     executor.execute(select)  # warm plan cache / build indexes
     result = benchmark(lambda: executor.execute(select))
-    assert result == Executor(engine.database, compile_plans=False).execute(select)
-    benchmark.extra_info["mode"] = mode
+    sqlite = SqliteBackend()
+    sqlite.load(engine.database)
+    try:
+        expected = sqlite.execute(select).rows
+    finally:
+        sqlite.close()
+    assert rows_match(canonical_rows(result.rows), canonical_rows(expected))
+    benchmark.extra_info["mode"] = "compiled"
 
 
 def test_search_many_batch(benchmark, engines):

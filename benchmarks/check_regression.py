@@ -1,13 +1,14 @@
-"""Performance regression checks: compiled-plan speedup and serving SLOs.
+"""Performance regression checks: compiled-plan speed and serving SLOs.
 
-Two independent gates share this module's measure/check idiom:
+Independent gates share this module's measure/check idiom:
 
-* **Compiled-plan speedup** — the compiled physical plans (closure
-  predicates, index-backed scans, plan caching — see
-  ``docs/PERFORMANCE.md``) must keep end-to-end keyword search at least
-  ``MIN_SPEEDUP``x faster than the interpreted ablation path, and must
-  not give back more than ``TOLERANCE`` of the speedup recorded in the
-  committed baseline (``BENCH_scaling_baseline.json``).
+* **Compiled-plan speed** — end-to-end keyword search on the compiled
+  physical plans (closure predicates, index-backed scans, plan caching —
+  see ``docs/PERFORMANCE.md``) is timed against SQLite executing the same
+  picked statements in the same process.  The rows must be canonically
+  equal, and the ratio ``sqlite_ms / compiled_ms`` must not fall more
+  than ``TOLERANCE`` below the ratio recorded in the committed baseline
+  (``BENCH_scaling_baseline.json``).
 * **Serving SLOs** — the query service's closed-loop load numbers
   (``bench_service.py``, swept over the worker-process tier) must hold
   the hard p95-ratio and scale-out guarantees and, per configuration,
@@ -22,11 +23,12 @@ Two independent gates share this module's measure/check idiom:
   the buffer-pool hit rate drop more than
   ``STORAGE_HIT_RATE_TOLERANCE`` below it.
 
-The measurement is *relative* — both paths run on the same process, data
-and query mix, so the speedup ratio is stable across machines in a way raw
-timings are not (the same trick ``check_overhead.py`` uses).  Each run
-writes its numbers to ``BENCH_scaling.json`` next to this file; refresh the
-baseline by copying that file over the committed one after an intentional
+The compiled-plan measurement is *relative* — both sides run in the same
+process on the same data and statements, so the ratio is stable across
+machines (and across a loaded host's speed swings) in a way raw timings
+are not (the same trick ``check_overhead.py`` uses).  Each run writes its
+numbers to ``BENCH_scaling.json`` next to this file; refresh the baseline
+by copying that file over the committed one after an intentional
 performance change.
 
 Run standalone (``python benchmarks/check_regression.py``) or as part of
@@ -40,15 +42,16 @@ import importlib.util
 import json
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List
 
+from repro.backends import SqliteBackend
+from repro.backends.normalize import canonical_rows, rows_match
 from repro.datasets import TpchConfig, generate_tpch
 from repro.engine import KeywordSearchEngine
 from repro.errors import ReproError
 from repro.experiments import TPCH_QUERIES, pick_interpretation
 
-MIN_SPEEDUP = 3.0  # compiled must beat interpreted by at least this factor
-TOLERANCE = 0.20  # allowed fraction of baseline speedup to give back
+TOLERANCE = 0.20  # allowed fraction of the baseline SQLite/compiled ratio to give back
 _MIX_REPEATS = 3  # best-of-N to shed scheduler noise
 
 LARGE = TpchConfig(seed=42, parts=320, suppliers=120, customers=240, orders=2400)
@@ -56,13 +59,6 @@ LARGE = TpchConfig(seed=42, parts=320, suppliers=120, customers=240, orders=2400
 _HERE = Path(__file__).resolve().parent
 RESULT_PATH = _HERE / "BENCH_scaling.json"
 BASELINE_PATH = _HERE / "BENCH_scaling_baseline.json"
-
-
-def _build_engines() -> Tuple[KeywordSearchEngine, KeywordSearchEngine]:
-    database = generate_tpch(LARGE)
-    compiled = KeywordSearchEngine(database)
-    interpreted = KeywordSearchEngine(database, compile_plans=False)
-    return compiled, interpreted
 
 
 def _query_mix(engine: KeywordSearchEngine) -> List:
@@ -84,63 +80,81 @@ def _run_mix(engine: KeywordSearchEngine, specs) -> None:
         chosen.execute()
 
 
-def _time_mix(engine: KeywordSearchEngine, specs) -> float:
+def _best_of(run: Callable[[], None]) -> float:
     best = float("inf")
     for _ in range(_MIX_REPEATS):
         start = time.perf_counter()
-        _run_mix(engine, specs)
+        run()
         best = min(best, time.perf_counter() - start)
     return best
 
 
 def measure() -> Dict[str, object]:
-    """Measure the compiled-vs-interpreted end-to-end speedup.
+    """Time compiled keyword search against SQLite on the same statements.
 
-    Both engines are warmed first (pattern caches, plan cache, indexes):
-    the scenario is repeated query traffic against loaded data, which is
-    where the plan cache is designed to win.
+    The compiled side is the end-to-end mix (search + pick + execute); the
+    SQLite side executes the statements that mix picks.  Both are warmed
+    first (pattern caches, plan cache, indexes, SQLite's page cache): the
+    scenario is repeated query traffic against loaded data.
     """
-    compiled, interpreted = _build_engines()
-    specs = _query_mix(compiled)
+    engine = KeywordSearchEngine(generate_tpch(LARGE))
+    specs = _query_mix(engine)
     assert specs, "no runnable TPC-H experiment queries"
-    _query_mix(interpreted)
+    picked = [
+        (spec.qid, pick_interpretation(engine.compile(spec.text), spec).select)
+        for spec in specs
+    ]
+    sqlite = SqliteBackend()
+    sqlite.load(engine.database)
+    try:
+        # results must agree before timings mean anything
+        mismatches = [
+            qid
+            for qid, select in picked
+            if not rows_match(
+                canonical_rows(engine.executor.execute(select).rows),
+                canonical_rows(sqlite.execute(select).rows),
+            )
+        ]
 
-    # results must agree before timings mean anything
-    for spec in specs:
-        fast = pick_interpretation(compiled.compile(spec.text), spec).execute()
-        slow = pick_interpretation(interpreted.compile(spec.text), spec).execute()
-        assert fast == slow, f"{spec.qid}: compiled and interpreted results differ"
+        def sqlite_mix() -> None:
+            for _, select in picked:
+                sqlite.execute(select)
 
-    _run_mix(compiled, specs)  # warm both paths once more before timing
-    _run_mix(interpreted, specs)
-    compiled_s = _time_mix(compiled, specs)
-    interpreted_s = _time_mix(interpreted, specs)
+        _run_mix(engine, specs)  # warm both sides once more before timing
+        sqlite_mix()
+        compiled_s = _best_of(lambda: _run_mix(engine, specs))
+        sqlite_s = _best_of(sqlite_mix)
+    finally:
+        sqlite.close()
     return {
         "scale": "large",
         "queries": len(specs),
         "compiled_ms": compiled_s * 1000.0,
-        "interpreted_ms": interpreted_s * 1000.0,
-        "speedup": interpreted_s / compiled_s if compiled_s else float("inf"),
+        "sqlite_ms": sqlite_s * 1000.0,
+        "sqlite_ratio": sqlite_s / compiled_s if compiled_s else float("inf"),
+        "mismatches": mismatches,
     }
 
 
 def check(result: Dict[str, object]) -> List[str]:
     """Failure messages (empty when the check passes)."""
     failures: List[str] = []
-    speedup = float(result["speedup"])
-    if speedup < MIN_SPEEDUP:
+    mismatches = list(result["mismatches"])
+    if mismatches:
         failures.append(
-            f"compiled path is only {speedup:.2f}x faster than interpreted "
-            f"(required: {MIN_SPEEDUP:.1f}x)"
+            "compiled and SQLite results differ on " + ", ".join(mismatches)
         )
     if BASELINE_PATH.exists():
         with open(BASELINE_PATH, encoding="utf-8") as handle:
             baseline = json.load(handle)
-        floor = float(baseline["speedup"]) * (1.0 - TOLERANCE)
-        if speedup < floor:
+        ratio = float(result["sqlite_ratio"])
+        floor = float(baseline["sqlite_ratio"]) * (1.0 - TOLERANCE)
+        if ratio < floor:
             failures.append(
-                f"speedup regressed: {speedup:.2f}x vs baseline "
-                f"{baseline['speedup']:.2f}x (floor {floor:.2f}x)"
+                f"compiled plans slowed relative to SQLite: sqlite/compiled "
+                f"{ratio:.2f}x vs baseline {baseline['sqlite_ratio']:.2f}x "
+                f"(floor {floor:.2f}x)"
             )
     return failures
 
@@ -155,8 +169,8 @@ def format_result(result: Dict[str, object]) -> str:
     return (
         f"large TPC-H, {result['queries']} queries/mix: "
         f"compiled {result['compiled_ms']:.1f} ms, "
-        f"interpreted {result['interpreted_ms']:.1f} ms "
-        f"-> {result['speedup']:.1f}x"
+        f"sqlite {result['sqlite_ms']:.1f} ms "
+        f"-> sqlite/compiled {result['sqlite_ratio']:.2f}x"
     )
 
 
@@ -418,7 +432,7 @@ def check_planner(result: Dict[str, object]) -> List[str]:
 # ----------------------------------------------------------------------
 # pytest wiring (collected by `pytest benchmarks/`)
 # ----------------------------------------------------------------------
-def test_compiled_speedup_no_regression():
+def test_compiled_vs_sqlite_no_regression():
     result = measure()
     write_result(result)
     failures = check(result)

@@ -9,7 +9,7 @@ its implementation:
   type: ``contains`` needs a TEXT/DATE column; ``numeric-eq`` needs a
   numeric column probed with a number; ``hash-eq`` needs a TEXT/DATE
   column probed with a string.  An unsound lookup would return a candidate
-  set that diverges from the interpreted executor;
+  set that diverges from a sequential scan of the same predicate;
 * **S021** — every pushed predicate may reference only the scan's own
   alias (a cross-scan predicate evaluated on one table reads garbage).
 
@@ -142,7 +142,7 @@ def _check_table_scan(scan: _TableScan, location: str) -> List[Diagnostic]:
                     f"({dtype}): {problem}",
                     location,
                     hint="index strategies must agree with the column "
-                    "datatype, else index and interpreted paths diverge",
+                    "datatype, else index and sequential-scan paths diverge",
                 )
             )
     return diagnostics

@@ -33,14 +33,10 @@ class MemoryBackend(Backend):
     def __init__(
         self,
         executor: Optional[Executor] = None,
-        compile_plans: bool = True,
-        use_hash_joins: bool = True,
         optimizer: str = "cost",
     ) -> None:
         super().__init__()
         self._executor = executor
-        self._compile_plans = compile_plans
-        self._use_hash_joins = use_hash_joins
         self._optimizer = optimizer
         if executor is not None:
             self.database = executor.database
@@ -49,12 +45,7 @@ class MemoryBackend(Backend):
     def executor(self) -> Executor:
         if self._executor is None:
             database = self._require_database()
-            self._executor = Executor(
-                database,
-                compile_plans=self._compile_plans,
-                use_hash_joins=self._use_hash_joins,
-                optimizer=self._optimizer,
-            )
+            self._executor = Executor(database, optimizer=self._optimizer)
         return self._executor
 
     def load(self, database: Database, tracer: Any = NULL_TRACER) -> None:

@@ -160,8 +160,6 @@ class KeywordSearchEngine:
         disambiguate: bool = True,
         rewrite_sql: bool = True,
         check_fds: bool = False,
-        compile_plans: bool = True,
-        use_hash_joins: bool = True,
         optimizer: str = "cost",
         strict: bool = False,
         backend: str = "memory",
@@ -172,7 +170,6 @@ class KeywordSearchEngine:
         # strict mode: statically analyze every compiled interpretation and
         # refuse to return one with error-severity diagnostics
         self.strict = strict
-        self.compile_plans = compile_plans
         # cross-query metrics sink; traced searches report into it too
         self.metrics = MetricsRegistry()
         # ablation knobs (see DESIGN.md section 5)
@@ -183,12 +180,7 @@ class KeywordSearchEngine:
         # and access-path selection (repro.planner); "off" = the greedy
         # pre-planner heuristics, kept as the ablation baseline
         self.optimizer_mode = optimizer
-        self.executor = Executor(
-            database,
-            use_hash_joins=use_hash_joins,
-            compile_plans=compile_plans,
-            optimizer=optimizer,
-        )
+        self.executor = Executor(database, optimizer=optimizer)
         # execution backends, keyed by name.  The memory backend wraps the
         # engine's own executor (sharing its plan cache); others — e.g.
         # "sqlite" — materialize the database on first use and are cached
@@ -503,9 +495,8 @@ class KeywordSearchEngine:
                 findings.extend(
                     analyze_dialect(parts.final, self.backend.dialect, location)
                 )
-                if self.compile_plans:
-                    plan = self.executor.plan_for(parts.final, tracer)
-                    findings.extend(analyze_plan(plan, location))
+                plan = self.executor.plan_for(parts.final, tracer)
+                findings.extend(analyze_plan(plan, location))
                 interpretation.diagnostics = findings
                 report.extend(findings)
             tracer.count("diagnostics", len(report))

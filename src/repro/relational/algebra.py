@@ -3,7 +3,7 @@
 A :class:`Rowset` is the executor's intermediate representation: a list of
 tuples plus a :class:`~repro.relational.expressions.Binding` describing each
 position as ``(alias, column)``.  The operators here are pure functions used
-by the hash-join planner in :mod:`repro.relational.executor`.
+by the compiled plans in :mod:`repro.relational.plan`.
 """
 
 from __future__ import annotations
@@ -12,8 +12,7 @@ from operator import itemgetter
 from typing import Any, Callable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.cancellation import CHECK_STRIDE, current_token
-from repro.relational.expressions import Binding, ColumnLabel, evaluate
-from repro.sql.ast import Expr
+from repro.relational.expressions import Binding, ColumnLabel
 
 # join loops poll the ambient cancellation token once per _STRIDE outer
 # iterations so a runaway join aborts mid-flight (see repro.cancellation)
@@ -42,20 +41,6 @@ class Rowset:
         """Re-qualify every column with *qualifier* (used for FROM aliases)."""
         labels = [(qualifier, name) for _, name in self.binding.labels]
         return Rowset(Binding(labels), self.rows)
-
-
-def select_rows(rowset: Rowset, predicate: Expr) -> Rowset:
-    """sigma: keep rows satisfying *predicate*."""
-    binding = rowset.binding
-    token = current_token()
-    kept: List[Tuple[Any, ...]] = []
-    append = kept.append
-    for i, row in enumerate(rowset.rows):
-        if not (i & _STRIDE_MASK):
-            token.check()
-        if evaluate(predicate, row, binding):
-            append(row)
-    return Rowset(binding, kept)
 
 
 def project(rowset: Rowset, positions: Sequence[int], labels: Sequence[ColumnLabel]) -> Rowset:

@@ -1,10 +1,12 @@
-"""Scalar and aggregate expression evaluation for the executor.
+"""Scalar and aggregate expressions, compiled into closures for the plans.
 
 A :class:`Binding` maps column references (qualified or not) to positions in
-a working row.  NULL semantics follow SQL where it matters for the paper's
-queries: comparisons involving NULL are not satisfied, aggregates ignore
-NULLs, and ``SUM``/``MIN``/``MAX``/``AVG`` over an empty or all-NULL input
-yield NULL.
+a working row.  :func:`compile_scalar`, :func:`compile_predicate` and
+:func:`compile_aggregate` turn an expression into a closure once per
+binding, so rows are never evaluated by walking the AST.  NULL semantics
+follow SQL where it matters for the paper's queries: comparisons involving
+NULL are not satisfied, aggregates ignore NULLs, and
+``SUM``/``MIN``/``MAX``/``AVG`` over an empty or all-NULL input yield NULL.
 """
 
 from __future__ import annotations
@@ -67,83 +69,6 @@ class Binding:
         return len(self.labels)
 
 
-def evaluate(expr: Expr, row: Sequence[Any], binding: Binding) -> Any:
-    """Evaluate a scalar expression on one row.
-
-    Aggregate calls are rejected here; they are evaluated per-group by
-    :func:`evaluate_aggregate`.
-    """
-    if isinstance(expr, Literal):
-        return expr.value
-    if isinstance(expr, ColumnRef):
-        return row[binding.resolve(expr)]
-    if isinstance(expr, Contains):
-        value = evaluate(expr.column, row, binding)
-        if value is None:
-            return False
-        return expr.phrase.lower() in str(value).lower()
-    if isinstance(expr, IsNull):
-        value = evaluate(expr.operand, row, binding)
-        return (value is not None) if expr.negated else (value is None)
-    if isinstance(expr, BinaryOp):
-        return _evaluate_binary(expr, row, binding)
-    if isinstance(expr, FuncCall):
-        if expr.is_aggregate:
-            raise SqlExecutionError(
-                f"aggregate {expr.name} used outside GROUP BY evaluation"
-            )
-        raise SqlExecutionError(f"unknown function {expr.name!r}")
-    if isinstance(expr, Star):
-        raise SqlExecutionError("'*' is only valid inside COUNT(*)")
-    raise SqlExecutionError(f"cannot evaluate expression {expr!r}")
-
-
-def _evaluate_binary(expr: BinaryOp, row: Sequence[Any], binding: Binding) -> Any:
-    op = expr.op.upper()
-    if op == "AND":
-        return bool(evaluate(expr.left, row, binding)) and bool(
-            evaluate(expr.right, row, binding)
-        )
-    if op == "OR":
-        return bool(evaluate(expr.left, row, binding)) or bool(
-            evaluate(expr.right, row, binding)
-        )
-    left = evaluate(expr.left, row, binding)
-    right = evaluate(expr.right, row, binding)
-    if op in ("=", "<>", "<", "<=", ">", ">="):
-        if left is None or right is None:
-            return False  # SQL UNKNOWN, treated as not-satisfied
-        left, right = _align_comparable(left, right)
-        if op == "=":
-            return left == right
-        if op == "<>":
-            return left != right
-        if op == "<":
-            return left < right
-        if op == "<=":
-            return left <= right
-        if op == ">":
-            return left > right
-        return left >= right
-    if op in ("+", "-", "*", "/"):
-        if left is None or right is None:
-            return None
-        if not isinstance(left, (int, float)) or not isinstance(right, (int, float)):
-            raise SqlExecutionError(
-                f"arithmetic on non-numeric values {left!r}, {right!r}"
-            )
-        if op == "+":
-            return left + right
-        if op == "-":
-            return left - right
-        if op == "*":
-            return left * right
-        if right == 0:
-            raise SqlExecutionError("division by zero")
-        return left / right
-    raise SqlExecutionError(f"unknown operator {expr.op!r}")
-
-
 def _align_comparable(left: Any, right: Any) -> Tuple[Any, Any]:
     """Allow int/float comparisons; otherwise require matching types."""
     if isinstance(left, bool) or isinstance(right, bool):
@@ -157,86 +82,10 @@ def _align_comparable(left: Any, right: Any) -> Tuple[Any, Any]:
     raise SqlExecutionError(f"cannot compare {left!r} with {right!r}")
 
 
-def evaluate_aggregate(
-    call: FuncCall, rows: Sequence[Sequence[Any]], binding: Binding
-) -> Any:
-    """Evaluate one aggregate call over the rows of a group.
-
-    Results are routed through
-    :func:`repro.relational.result.normalize_aggregate` so output types
-    follow SQL semantics (COUNT int, AVG float, empty-group SUM NULL) on
-    every execution path.
-    """
-    # imported lazily: result -> algebra -> expressions would otherwise
-    # form a module-level import cycle
-    from repro.relational.result import normalize_aggregate
-
-    name = call.name.upper()
-    if name == "COUNT":
-        if len(call.args) == 1 and isinstance(call.args[0], Star):
-            return normalize_aggregate(name, len(rows))
-        values = [
-            value
-            for value in (evaluate(call.args[0], row, binding) for row in rows)
-            if value is not None
-        ]
-        if call.distinct:
-            return normalize_aggregate(name, len(set(values)))
-        return normalize_aggregate(name, len(values))
-    if len(call.args) != 1:
-        raise SqlExecutionError(f"{name} takes exactly one argument")
-    values = [
-        value
-        for value in (evaluate(call.args[0], row, binding) for row in rows)
-        if value is not None
-    ]
-    if call.distinct:
-        values = list(set(values))
-    if not values:
-        return None
-    if name == "SUM":
-        _require_numeric(values, name)
-        return normalize_aggregate(name, sum(values))
-    if name == "AVG":
-        _require_numeric(values, name)
-        return normalize_aggregate(name, sum(values) / len(values))
-    if name == "MIN":
-        return normalize_aggregate(name, min(values))
-    if name == "MAX":
-        return normalize_aggregate(name, max(values))
-    raise SqlExecutionError(f"unknown aggregate {name!r}")
-
-
 def _require_numeric(values: Sequence[Any], func: str) -> None:
     for value in values:
         if not isinstance(value, (int, float)) or isinstance(value, bool):
             raise SqlExecutionError(f"{func} over non-numeric value {value!r}")
-
-
-def evaluate_with_aggregates(
-    expr: Expr,
-    group_rows: Sequence[Sequence[Any]],
-    binding: Binding,
-) -> Any:
-    """Evaluate an expression that may mix aggregates and scalars.
-
-    Scalar sub-expressions are evaluated on the group's first row (legal
-    because translators only put group-by expressions outside aggregates).
-    """
-    if isinstance(expr, FuncCall) and expr.is_aggregate:
-        return evaluate_aggregate(expr, group_rows, binding)
-    if isinstance(expr, BinaryOp) and expr.contains_aggregate():
-        op = expr.op.upper()
-        if op in ("AND", "OR"):
-            raise SqlExecutionError("boolean aggregates are not supported")
-        left = evaluate_with_aggregates(expr.left, group_rows, binding)
-        right = evaluate_with_aggregates(expr.right, group_rows, binding)
-        return _evaluate_binary(
-            BinaryOp(expr.op, Literal(left), Literal(right)), (), binding
-        )
-    if not group_rows:
-        return None
-    return evaluate(expr, group_rows[0], binding)
 
 
 # ----------------------------------------------------------------------
@@ -245,10 +94,11 @@ def evaluate_with_aggregates(
 # The compiled physical plans (repro.relational.plan) evaluate expressions
 # through closures built once per (expression, binding) pair instead of
 # walking the AST and re-resolving column references on every row.  The
-# closures mirror :func:`evaluate` / :func:`evaluate_aggregate` exactly —
-# including NULL comparison semantics, type alignment errors and
-# division-by-zero — so the interpreted and compiled paths are
-# interchangeable.
+# closures carry SQL semantics — NULL comparisons are not satisfied,
+# mismatched types raise on comparison, division by zero raises at the
+# offending row.  Aggregate results are routed through
+# :func:`repro.relational.result.normalize_aggregate` so output types
+# follow SQL (COUNT int, AVG float, empty-group SUM NULL).
 
 ScalarFn = Callable[[Sequence[Any]], Any]
 GroupFn = Callable[[Sequence[Sequence[Any]]], Any]
@@ -264,8 +114,8 @@ _COMPARISON_OPS = {
 
 
 def _raising(message: str) -> ScalarFn:
-    """A closure that raises at call time, matching the interpreter's
-    behaviour of only surfacing evaluation errors when a row is evaluated."""
+    """A closure that raises at call time, so evaluation errors surface only
+    when a row is evaluated, never at plan-compilation time."""
 
     def fail(_row: Sequence[Any]) -> Any:
         raise SqlExecutionError(message)
@@ -367,8 +217,8 @@ def _compile_binary(expr: BinaryOp, binding: Binding) -> ScalarFn:
 
 
 def compile_predicate(expr: Expr, binding: Binding) -> ScalarFn:
-    """Compile a WHERE conjunct; the result is used for truthiness, exactly
-    like :func:`evaluate` inside ``select_rows``."""
+    """Compile a WHERE conjunct; the closure's result is used for
+    truthiness (a row is kept when it is truthy)."""
     return compile_scalar(expr, binding)
 
 
@@ -427,10 +277,18 @@ def _compile_aggregate_call(call: FuncCall, binding: Binding) -> GroupFn:
     return _raising_group(f"unknown aggregate {name!r}")
 
 
+_LEFT = ColumnRef("left")
+_RIGHT = ColumnRef("right")
+_OPERANDS = Binding([(None, "left"), (None, "right")])
+
+
 def compile_aggregate(expr: Expr, binding: Binding) -> GroupFn:
     """Compile an output expression that may mix aggregates and scalars
-    into a ``group_rows -> value`` closure (the compiled counterpart of
-    :func:`evaluate_with_aggregates`)."""
+    into a ``group_rows -> value`` closure.
+
+    Scalar sub-expressions are evaluated on the group's first row (legal
+    because translators only put group-by expressions outside aggregates);
+    on an empty group they are NULL."""
     if isinstance(expr, FuncCall) and expr.is_aggregate:
         return _compile_aggregate_call(expr, binding)
     if isinstance(expr, BinaryOp) and expr.contains_aggregate():
@@ -439,16 +297,10 @@ def compile_aggregate(expr: Expr, binding: Binding) -> GroupFn:
             return _raising_group("boolean aggregates are not supported")
         left = compile_aggregate(expr.left, binding)
         right = compile_aggregate(expr.right, binding)
-        template = expr.op
-
-        def combine(rows: Sequence[Sequence[Any]]) -> Any:
-            return _evaluate_binary(
-                BinaryOp(template, Literal(left(rows)), Literal(right(rows))),
-                (),
-                binding,
-            )
-
-        return combine
+        # the operator is compiled once, over a two-slot row that holds the
+        # operands' per-group values
+        apply = _compile_binary(BinaryOp(expr.op, _LEFT, _RIGHT), _OPERANDS)
+        return lambda rows: apply((left(rows), right(rows)))
     scalar = compile_scalar(expr, binding)
 
     def first_row(rows: Sequence[Sequence[Any]]) -> Any:

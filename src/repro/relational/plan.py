@@ -1,12 +1,12 @@
-"""Compiled physical query plans.
+"""Compiled physical query plans — the in-memory engine's only execution path.
 
 A :class:`CompiledPlan` is built once from a :class:`~repro.sql.ast.Select`
-and executed many times.  Compilation does everything that is independent of
-the data up front:
+and executed many times; the memory and disk backends both run it.
+Compilation does everything that is independent of the data up front:
 
 * every WHERE conjunct is classified (single-table pushdown vs. join
   predicate vs. residual filter) and its referenced aliases are resolved
-  once — the interpreted executor re-derives them on every execution;
+  once, not on every execution;
 * pushed-down ``contains`` and equality predicates are matched to an index
   strategy (:class:`~repro.relational.index.InvertedIndex`,
   :class:`~repro.relational.index.NumericIndex` or a per-table
@@ -19,17 +19,19 @@ the data up front:
 Join *order* is decided in one of two ways.  Without an optimizer (the
 ``optimizer="off"`` ablation, and direct ``CompiledPlan(...)``
 construction) it stays a greedy runtime decision — smallest size product
-first — exactly mirroring the interpreted executor.  When the executor
-passes a cost-based optimizer (``repro.planner``, the default), its
-:class:`PlanDecisions` are computed at compile time: a DP-chosen join
-order (applied step by step in :meth:`CompiledPlan._join`, falling back
-to the greedy order if the decisions ever stop matching the runtime
-components), per-predicate index-vs-seq-scan choices, and per-operator
-row estimates that :meth:`CompiledPlan.execute` pairs with actuals in
+first; FROM items that no equi-join connects are combined by cartesian
+product.  When the executor passes a cost-based optimizer
+(``repro.planner``, the default), its :class:`PlanDecisions` are computed
+at compile time: a DP-chosen join order (applied step by step in
+:meth:`CompiledPlan._join`, falling back to the greedy order if the
+decisions ever stop matching the runtime components), per-predicate
+index-vs-seq-scan choices, and per-operator row estimates that
+:meth:`CompiledPlan.execute` pairs with actuals in
 :attr:`CompiledPlan.last_run` (surfaced by ``--explain``).  Both modes
-produce identical result *sets* — the semantics-equivalence tests run
-every experiment query through both.  Executor-level caching and
-invalidation (by rendered SQL and :attr:`Database.data_version`) live in
+produce identical result *sets* — the equivalence tests run every
+experiment query through both and compare them with the SQLite backend.
+Executor-level caching and invalidation (by rendered SQL and
+:attr:`Database.data_version`) live in
 :class:`~repro.relational.executor.Executor`.
 """
 
@@ -185,7 +187,7 @@ class _TableScan:
         """Match a pushed conjunct to an index, when sound.
 
         Gated on column/literal type agreement so the index path can never
-        diverge from the interpreter (which may raise on mixed-type
+        diverge from the compiled filter (which may raise on mixed-type
         comparisons that a hash lookup would silently miss)."""
         if isinstance(expr, Contains):
             column = self._own_column(expr.column)
@@ -285,7 +287,6 @@ class _DerivedScan:
         self,
         item: DerivedTable,
         database: Database,
-        use_hash_joins: bool,
         optimizer: Any = None,
         tracer=NULL_TRACER,
     ) -> None:
@@ -293,7 +294,6 @@ class _DerivedScan:
         self.subplan = CompiledPlan(
             item.select,
             database,
-            use_hash_joins=use_hash_joins,
             optimizer=optimizer,
             tracer=tracer,
         )
@@ -438,16 +438,14 @@ class CompiledPlan:
         self,
         select: Select,
         database: Database,
-        use_hash_joins: bool = True,
         optimizer: Any = None,
         tracer=NULL_TRACER,
     ) -> None:
         self.select = select
         self.database = database
-        self.use_hash_joins = use_hash_joins
         # duck-typed repro.planner.Optimizer (this module must not import
         # upper layers); None keeps the greedy heuristics byte-for-byte
-        self._optimizer = optimizer if use_hash_joins else None
+        self._optimizer = optimizer
         self._compile_tracer = tracer
         self.decisions: Any = None
         self.last_run: Optional[PlanRun] = None
@@ -493,7 +491,6 @@ class CompiledPlan:
                     _DerivedScan(
                         item,
                         self.database,
-                        self.use_hash_joins,
                         optimizer=self._optimizer,
                         tracer=self._compile_tracer,
                     )
@@ -503,7 +500,7 @@ class CompiledPlan:
 
     def _column_owner_map(self) -> Dict[str, List[str]]:
         """lowercased column name -> aliases providing it (for resolving
-        unqualified references, mirroring the interpreted planner)."""
+        unqualified references)."""
         owners: Dict[str, List[str]] = {}
         for scan in self.scans:
             for alias, name in scan.labels:
@@ -536,14 +533,13 @@ class CompiledPlan:
                 owner = (
                     scans_by_alias.get(next(iter(aliases)))
                     if aliases
-                    else self.scans[0]  # constant predicate: first scan,
-                    # as in the interpreted path
+                    else self.scans[0]  # constant predicate: first scan
                 )
                 if owner is not None:
                     owner.push(expr, self.database)
                     continue
                 # unknown qualifier: leave pending; fails per-row at the
-                # end of the join phase, like the interpreter
+                # end of the join phase
                 self.pending.append(_Conjunct(expr, aliases, False))
                 continue
             is_equi = (
@@ -593,9 +589,9 @@ class CompiledPlan:
     # Execution
     # ------------------------------------------------------------------
     def execute(self, tracer=NULL_TRACER) -> QueryResult:
-        # cancellation checkpoints mirror the interpreted executor: polled
-        # at operator boundaries here and strided inside the algebra join
-        # loops, so deadlines from repro.service abort a plan mid-flight
+        # cancellation checkpoints: the ambient token is polled at operator
+        # boundaries here and strided inside the algebra join loops, so
+        # deadlines from repro.service abort a plan mid-flight
         token = current_token()
         token.check()
         run = PlanRun() if self.decisions is not None else None
@@ -655,7 +651,7 @@ class CompiledPlan:
     ) -> _Component:
         token = current_token()
         steps: List[Any] = []
-        if self.decisions is not None and self.use_hash_joins:
+        if self.decisions is not None:
             steps = list(self.decisions.join_steps)
         while len(components) > 1:
             token.check()
@@ -672,9 +668,11 @@ class CompiledPlan:
                 else:
                     step = candidate
                     tracer.count("planner_steps_applied")
-            if pair is None and self.use_hash_joins:
+            if pair is None:
                 pair = self._pick_join_pair(components, pending)
             if pair is None:
+                # no connecting equi-join: cartesian product of the two
+                # smallest components (disconnected FROM items)
                 components.sort(key=lambda component: len(component.rowset))
                 left, right = components[0], components[1]
                 merged_rowset = cross_join(left.rowset, right.rowset)
@@ -833,8 +831,8 @@ class CompiledPlan:
         return [groups[group_key] for group_key in order]
 
     def _compile_order_value(self, expr: Expr):
-        """Static counterpart of the interpreter's ``_order_value``: an
-        unqualified output-column reference wins, then a select-item match."""
+        """The sort key for one ORDER BY item: an unqualified output-column
+        reference wins, then a select-item match."""
         if isinstance(expr, ColumnRef) and expr.qualifier is None:
             try:
                 index = self._output_binding.resolve(expr)
@@ -887,8 +885,7 @@ class CompiledPlan:
             lines.extend(scan.describe(indent, estimate, actual))
         for conjunct in self.pending:
             kind = "equi-join" if conjunct.is_equi else "filter"
-            join_mode = "hash" if self.use_hash_joins else "cross+filter"
-            lines.append(f"{indent}{kind} {render_expr(conjunct.expr)} [{join_mode}]")
+            lines.append(f"{indent}{kind} {render_expr(conjunct.expr)} [hash]")
         if self.decisions is not None and self.decisions.join_steps:
             for number, step in enumerate(self.decisions.join_steps, 1):
                 actual = run.actual_for(f"join {step.describe()}") if run else None

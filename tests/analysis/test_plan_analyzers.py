@@ -21,12 +21,12 @@ def database():
 def executor(database):
     # soundness checks target the heuristic pipeline; the planner
     # advisories (S022/S023) get their own cost-mode executor below
-    return Executor(database, compile_plans=True, optimizer="off")
+    return Executor(database, optimizer="off")
 
 
 @pytest.fixture(scope="module")
 def cost_executor(database):
-    return Executor(database, compile_plans=True, optimizer="cost")
+    return Executor(database, optimizer="cost")
 
 
 def plan_for(executor, sql):

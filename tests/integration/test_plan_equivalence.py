@@ -1,37 +1,36 @@
-"""Compiled plans must be result-identical to the interpreted executor on
-every evaluation query, for both engines, normalized and unnormalized.
+"""Compiled plans must agree with SQLite on every evaluation query, for
+both engines, normalized and unnormalized, under both optimizer modes.
 
 This is the acceptance gate for the physical-plan layer: same SQL, same
-database, two execution strategies, equal :class:`QueryResult`s.
+database, the in-memory engine (``optimizer="cost"`` and ``"off"``) against
+an independent RDBMS, compared as canonical row multisets by
+:func:`repro.backends.differential.diff_statement`.
 """
 
-import pytest
-
-from repro.baselines import SqakEngine
+from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends.differential import diff_statement
 from repro.engine import KeywordSearchEngine
 from repro.errors import ReproError, UnsupportedQueryError
 from repro.experiments import ACMDL_QUERIES, TPCH_QUERIES, pick_interpretation
-from repro.relational.executor import Executor
+from repro.sql.parser import parse
+from repro.sql.render import render
 
 
-def _assert_equivalent(database, select):
-    interpreted = Executor(database, compile_plans=False).execute(select)
-    # optimizer off: byte-for-byte the pre-planner pipeline, including
-    # row order
-    heuristic = Executor(
-        database, compile_plans=True, optimizer="off"
-    ).execute(select)
-    assert heuristic == interpreted
-    assert heuristic.rows == interpreted.rows  # same order as well
-    # cost-based optimizer: join reordering may permute rows, but the
-    # result must stay multiset-identical (QueryResult == canonicalizes)
-    optimized = Executor(
-        database, compile_plans=True, optimizer="cost"
-    ).execute(select)
-    assert optimized == interpreted
+def _assert_equivalent(database, selects):
+    sqlite = SqliteBackend()
+    sqlite.load(database)
+    try:
+        for mode in ("cost", "off"):
+            memory = MemoryBackend(optimizer=mode)
+            memory.load(database)
+            for qid, select in selects:
+                detail = diff_statement(memory, sqlite, select)
+                assert detail is None, f"{qid} [{mode}]: {detail}\n{render(select)}"
+    finally:
+        sqlite.close()
 
 
-def _semantic_selects(engine, specs):
+def _assert_semantic_equivalent(engine, specs):
     selects = []
     for spec in specs:
         try:
@@ -40,10 +39,10 @@ def _semantic_selects(engine, specs):
             continue
         selects.append((spec.qid, pick_interpretation(interpretations, spec).select))
     assert selects
-    return selects
+    _assert_equivalent(engine.database, selects)
 
 
-def _sqak_selects(sqak, specs):
+def _assert_sqak_equivalent(sqak, specs):
     selects = []
     for spec in specs:
         try:
@@ -52,75 +51,49 @@ def _sqak_selects(sqak, specs):
             continue
         selects.append((spec.qid, statement.select))
     assert selects
-    return selects
+    _assert_equivalent(sqak.database, selects)
 
 
 class TestSemanticEngineEquivalence:
     def test_tpch(self, tpch_engine):
-        for qid, select in _semantic_selects(tpch_engine, TPCH_QUERIES):
-            _assert_equivalent(tpch_engine.database, select)
+        _assert_semantic_equivalent(tpch_engine, TPCH_QUERIES)
 
     def test_acmdl(self, acmdl_engine):
-        for qid, select in _semantic_selects(acmdl_engine, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_engine.database, select)
+        _assert_semantic_equivalent(acmdl_engine, ACMDL_QUERIES)
 
     def test_tpch_unnormalized(self, tpch_unnorm_engine):
-        for qid, select in _semantic_selects(tpch_unnorm_engine, TPCH_QUERIES):
-            _assert_equivalent(tpch_unnorm_engine.database, select)
+        _assert_semantic_equivalent(tpch_unnorm_engine, TPCH_QUERIES)
 
     def test_acmdl_unnormalized(self, acmdl_unnorm_engine):
-        for qid, select in _semantic_selects(acmdl_unnorm_engine, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_unnorm_engine.database, select)
+        _assert_semantic_equivalent(acmdl_unnorm_engine, ACMDL_QUERIES)
 
 
 class TestSqakEquivalence:
     def test_tpch(self, tpch_sqak):
-        for qid, select in _sqak_selects(tpch_sqak, TPCH_QUERIES):
-            _assert_equivalent(tpch_sqak.database, select)
+        _assert_sqak_equivalent(tpch_sqak, TPCH_QUERIES)
 
     def test_acmdl(self, acmdl_sqak):
-        for qid, select in _sqak_selects(acmdl_sqak, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_sqak.database, select)
+        _assert_sqak_equivalent(acmdl_sqak, ACMDL_QUERIES)
 
     def test_tpch_unnormalized(self, tpch_unnorm_sqak):
-        for qid, select in _sqak_selects(tpch_unnorm_sqak, TPCH_QUERIES):
-            _assert_equivalent(tpch_unnorm_sqak.database, select)
+        _assert_sqak_equivalent(tpch_unnorm_sqak, TPCH_QUERIES)
 
     def test_acmdl_unnormalized(self, acmdl_unnorm_sqak):
-        for qid, select in _sqak_selects(acmdl_unnorm_sqak, ACMDL_QUERIES):
-            _assert_equivalent(acmdl_unnorm_sqak.database, select)
+        _assert_sqak_equivalent(acmdl_unnorm_sqak, ACMDL_QUERIES)
+
+
+def test_university_three_way_group_by_join(university_db):
+    sql = (
+        "SELECT S.Sname, SUM(C.Credit) FROM Student S, Enrol E, Course C "
+        "WHERE S.Sid = E.Sid AND E.Code = C.Code GROUP BY S.Sname"
+    )
+    _assert_equivalent(university_db, [("university-join", parse(sql))])
 
 
 class TestEngineKnob:
-    def test_compile_plans_flag_reaches_executor(self, university_db):
-        fast = KeywordSearchEngine(university_db)
-        slow = KeywordSearchEngine(university_db, compile_plans=False)
-        assert fast.executor.compile_plans
-        assert not slow.executor.compile_plans
-        query = "Green SUM Credit"
-        assert fast.execute(query) == slow.execute(query)
-
     def test_clear_cache_drops_plans(self, university_db):
         engine = KeywordSearchEngine(university_db)
         engine.execute("Green SUM Credit")
         assert engine.executor.plan_cache_len > 0
         engine.clear_cache()
         assert engine.executor.plan_cache_len == 0
-
-    def test_ablation_without_hash_joins_still_equivalent(self, university_db):
-        sql = (
-            "SELECT S.Sname, SUM(C.Credit) FROM Student S, Enrol E, Course C "
-            "WHERE S.Sid = E.Sid AND E.Code = C.Code GROUP BY S.Sname"
-        )
-        baseline = Executor(university_db, compile_plans=False).execute(sql)
-        for use_hash_joins in (True, False):
-            result = Executor(
-                university_db,
-                use_hash_joins=use_hash_joins,
-                compile_plans=True,
-            ).execute(sql)
-            assert result == baseline
-
-
-def test_sqak_executor_compiles_by_default(tpch_sqak):
-    assert tpch_sqak.executor.compile_plans

@@ -9,8 +9,8 @@ from repro.relational.algebra import (
     hash_join,
     null_safe_sort_key,
     project,
-    select_rows,
 )
+from repro.relational.expressions import compile_predicate
 from repro.sql.ast import BinaryOp, ColumnRef, Literal
 
 
@@ -22,7 +22,8 @@ class TestSelectProject:
     def test_select_rows(self):
         rs = make_rowset("R", ["a"], [(1,), (2,), (3,)])
         predicate = BinaryOp(">", ColumnRef("a"), Literal(1))
-        assert [row[0] for row in select_rows(rs, predicate).rows] == [2, 3]
+        keep = compile_predicate(predicate, rs.binding)
+        assert [row[0] for row in rs.rows if keep(row)] == [2, 3]
 
     def test_project(self):
         rs = make_rowset("R", ["a", "b"], [(1, "x"), (2, "y")])

@@ -1,13 +1,12 @@
-"""Unit tests for scalar/aggregate expression evaluation."""
+"""Unit tests for the compiled scalar and aggregate expression closures."""
 
 import pytest
 
 from repro.errors import SqlExecutionError
 from repro.relational.expressions import (
     Binding,
-    evaluate,
-    evaluate_aggregate,
-    evaluate_with_aggregates,
+    compile_aggregate,
+    compile_scalar,
 )
 from repro.sql.ast import (
     BinaryOp,
@@ -60,60 +59,60 @@ class TestBinding:
 
 class TestScalarEvaluation:
     def test_literal(self, binding):
-        assert evaluate(Literal(5), ROW, binding) == 5
+        assert compile_scalar(Literal(5), binding)(ROW) == 5
 
     def test_column(self, binding):
-        assert evaluate(ColumnRef("Sname", "S"), ROW, binding) == "Green"
+        assert compile_scalar(ColumnRef("Sname", "S"), binding)(ROW) == "Green"
 
     def test_comparison(self, binding):
         expr = BinaryOp(">", ColumnRef("Age"), Literal(21))
-        assert evaluate(expr, ROW, binding) is True
+        assert compile_scalar(expr, binding)(ROW) is True
 
     def test_comparison_with_null_is_false(self, binding):
         expr = BinaryOp("=", ColumnRef("Age"), Literal(None))
-        assert evaluate(expr, ROW, binding) is False
+        assert compile_scalar(expr, binding)(ROW) is False
 
     def test_numeric_widening_comparison(self, binding):
         expr = BinaryOp("=", Literal(24.0), ColumnRef("Age"))
-        assert evaluate(expr, ROW, binding) is True
+        assert compile_scalar(expr, binding)(ROW) is True
 
     def test_mixed_type_comparison_raises(self, binding):
         expr = BinaryOp("<", ColumnRef("Sname", "S"), Literal(3))
         with pytest.raises(SqlExecutionError):
-            evaluate(expr, ROW, binding)
+            compile_scalar(expr, binding)(ROW)
 
     def test_and_or(self, binding):
         t = BinaryOp("=", Literal(1), Literal(1))
         f = BinaryOp("=", Literal(1), Literal(2))
-        assert evaluate(BinaryOp("AND", t, f), ROW, binding) is False
-        assert evaluate(BinaryOp("OR", t, f), ROW, binding) is True
+        assert compile_scalar(BinaryOp("AND", t, f), binding)(ROW) is False
+        assert compile_scalar(BinaryOp("OR", t, f), binding)(ROW) is True
 
     def test_contains(self, binding):
-        assert evaluate(Contains(ColumnRef("Sname", "S"), "gree"), ROW, binding)
-        assert not evaluate(Contains(ColumnRef("Sname", "S"), "blue"), ROW, binding)
+        assert compile_scalar(Contains(ColumnRef("Sname", "S"), "gree"), binding)(ROW)
+        assert not compile_scalar(Contains(ColumnRef("Sname", "S"), "blue"), binding)(ROW)
 
     def test_contains_null_is_false(self, binding):
-        assert evaluate(Contains(ColumnRef("Sname", "S"), "x"), ("s", None, 1), binding) is False
+        assert compile_scalar(Contains(ColumnRef("Sname", "S"), "x"), binding)(("s", None, 1)) is False
 
     def test_is_null(self, binding):
-        assert evaluate(IsNull(ColumnRef("Age")), ("s", "n", None), binding)
-        assert evaluate(IsNull(ColumnRef("Age"), negated=True), ROW, binding)
+        assert compile_scalar(IsNull(ColumnRef("Age")), binding)(("s", "n", None))
+        assert compile_scalar(IsNull(ColumnRef("Age"), negated=True), binding)(ROW)
 
     def test_arithmetic(self, binding):
         expr = BinaryOp("*", ColumnRef("Age"), Literal(2))
-        assert evaluate(expr, ROW, binding) == 48
+        assert compile_scalar(expr, binding)(ROW) == 48
 
     def test_arithmetic_null_propagates(self, binding):
         expr = BinaryOp("+", Literal(None), Literal(1))
-        assert evaluate(expr, ROW, binding) is None
+        assert compile_scalar(expr, binding)(ROW) is None
 
     def test_division_by_zero(self, binding):
         with pytest.raises(SqlExecutionError):
-            evaluate(BinaryOp("/", Literal(1), Literal(0)), ROW, binding)
+            compile_scalar(BinaryOp("/", Literal(1), Literal(0)), binding)(ROW)
 
     def test_aggregate_outside_group_raises(self, binding):
         with pytest.raises(SqlExecutionError):
-            evaluate(agg("COUNT", ColumnRef("Age")), ROW, binding)
+            compile_scalar(agg("COUNT", ColumnRef("Age")), binding)(ROW)
 
 
 GROUP = [("s1", "a", 10), ("s2", "b", 20), ("s3", "c", None)]
@@ -121,55 +120,55 @@ GROUP = [("s1", "a", 10), ("s2", "b", 20), ("s3", "c", None)]
 
 class TestAggregates:
     def test_count_star(self, binding):
-        assert evaluate_aggregate(FuncCall("COUNT", (Star(),)), GROUP, binding) == 3
+        assert compile_aggregate(FuncCall("COUNT", (Star(),)), binding)(GROUP) == 3
 
     def test_count_ignores_nulls(self, binding):
-        assert evaluate_aggregate(agg("COUNT", ColumnRef("Age")), GROUP, binding) == 2
+        assert compile_aggregate(agg("COUNT", ColumnRef("Age")), binding)(GROUP) == 2
 
     def test_count_distinct(self, binding):
         rows = [("s1", "a", 10), ("s2", "b", 10)]
         call = agg("COUNT", ColumnRef("Age"), distinct=True)
-        assert evaluate_aggregate(call, rows, binding) == 1
+        assert compile_aggregate(call, binding)(rows) == 1
 
     def test_sum_avg_min_max(self, binding):
-        assert evaluate_aggregate(agg("SUM", ColumnRef("Age")), GROUP, binding) == 30
-        assert evaluate_aggregate(agg("AVG", ColumnRef("Age")), GROUP, binding) == 15
-        assert evaluate_aggregate(agg("MIN", ColumnRef("Age")), GROUP, binding) == 10
-        assert evaluate_aggregate(agg("MAX", ColumnRef("Age")), GROUP, binding) == 20
+        assert compile_aggregate(agg("SUM", ColumnRef("Age")), binding)(GROUP) == 30
+        assert compile_aggregate(agg("AVG", ColumnRef("Age")), binding)(GROUP) == 15
+        assert compile_aggregate(agg("MIN", ColumnRef("Age")), binding)(GROUP) == 10
+        assert compile_aggregate(agg("MAX", ColumnRef("Age")), binding)(GROUP) == 20
 
     def test_empty_group_aggregates_are_null(self, binding):
-        assert evaluate_aggregate(agg("SUM", ColumnRef("Age")), [], binding) is None
-        assert evaluate_aggregate(agg("MAX", ColumnRef("Age")), [], binding) is None
+        assert compile_aggregate(agg("SUM", ColumnRef("Age")), binding)([]) is None
+        assert compile_aggregate(agg("MAX", ColumnRef("Age")), binding)([]) is None
 
     def test_count_of_empty_group_is_zero(self, binding):
-        assert evaluate_aggregate(agg("COUNT", ColumnRef("Age")), [], binding) == 0
+        assert compile_aggregate(agg("COUNT", ColumnRef("Age")), binding)([]) == 0
 
     def test_sum_over_text_raises(self, binding):
         with pytest.raises(SqlExecutionError):
-            evaluate_aggregate(agg("SUM", ColumnRef("Sname", "S")), GROUP, binding)
+            compile_aggregate(agg("SUM", ColumnRef("Sname", "S")), binding)(GROUP)
 
     def test_min_max_over_dates(self, binding):
         rows = [("s1", "a", None)]
         b = Binding([(None, "d")])
         date_rows = [("2001-01-01",), ("1999-12-31",)]
-        assert evaluate_aggregate(agg("MAX", ColumnRef("d")), date_rows, b) == "2001-01-01"
-        assert evaluate_aggregate(agg("MIN", ColumnRef("d")), date_rows, b) == "1999-12-31"
+        assert compile_aggregate(agg("MAX", ColumnRef("d")), b)(date_rows) == "2001-01-01"
+        assert compile_aggregate(agg("MIN", ColumnRef("d")), b)(date_rows) == "1999-12-31"
 
 
 class TestMixedEvaluation:
     def test_scalar_on_first_row(self, binding):
-        value = evaluate_with_aggregates(ColumnRef("Sid", "S"), GROUP, binding)
+        value = compile_aggregate(ColumnRef("Sid", "S"), binding)(GROUP)
         assert value == "s1"
 
     def test_aggregate(self, binding):
-        value = evaluate_with_aggregates(agg("SUM", ColumnRef("Age")), GROUP, binding)
+        value = compile_aggregate(agg("SUM", ColumnRef("Age")), binding)(GROUP)
         assert value == 30
 
     def test_arithmetic_over_aggregates(self, binding):
         expr = BinaryOp(
             "/", agg("SUM", ColumnRef("Age")), agg("COUNT", ColumnRef("Age"))
         )
-        assert evaluate_with_aggregates(expr, GROUP, binding) == 15
+        assert compile_aggregate(expr, binding)(GROUP) == 15
 
     def test_empty_group_scalar_is_null(self, binding):
-        assert evaluate_with_aggregates(ColumnRef("Age"), [], binding) is None
+        assert compile_aggregate(ColumnRef("Age"), binding)([]) is None

@@ -1,9 +1,9 @@
 """Aggregate output types are pinned (repro.relational.result.normalize_aggregate).
 
-Both execution paths — interpreted and compiled — must produce the same
-Python types a real SQL backend would: COUNT is int, AVG is float,
-SUM/MIN/MAX of an empty or all-NULL group is NULL.  The differential
-harness compares types strictly, so any drift here fails `repro diff`.
+The executor must produce the same Python types a real SQL backend would:
+COUNT is int, AVG is float, SUM/MIN/MAX of an empty or all-NULL group is
+NULL.  The differential harness compares types strictly, so any drift here
+fails `repro diff`.
 """
 
 from __future__ import annotations
@@ -65,12 +65,14 @@ def _db():
     return database
 
 
-@pytest.fixture(params=[True, False], ids=["compiled", "interpreted"])
-def executor(request):
-    return Executor(_db(), compile_plans=request.param)
+@pytest.fixture
+def executor():
+    return Executor(_db())
 
 
 class TestBothExecutionPaths:
+    """Aggregate output types end to end through the executor."""
+
     def test_count_of_empty_group_is_int_zero(self, executor):
         value = executor.execute("SELECT COUNT(*) FROM t WHERE Id = 0").scalar()
         assert value == 0 and type(value) is int
