@@ -1,74 +1,150 @@
-"""Backend latency comparison: the in-memory engine vs SQLite.
+"""Backend sweep: the in-memory engine against SQLite and the paged disk tier.
 
 For every workload dataset the full statement mix the differential
 harness compares (top-k semantic interpretations plus the SQAK baseline
 statements — see ``repro.backends.differential``) is executed end to end
-on both registered backends, best-of-N per backend.  The interesting
-number is the **ratio** (sqlite_ms / memory_ms), which is relative to
-the machine the way ``check_regression.py``'s other gates are: both
-backends run in the same process on the same data and statements, so the
-ratio is stable where raw milliseconds are not.
+on each backend, best-of-N per backend, with the memory backend timed
+once as the reference.  Two ratios come out of it, both relative to the
+machine because every backend runs in the same process on the same data
+and statements:
 
-Two things are asserted before any timing means anything:
+* ``<dataset>.sqlite_ratio`` — sqlite_ms / memory_ms: the compiled
+  executor against round-tripping SQL text through SQLite;
+* ``<dataset>.disk_ratio`` — disk_ms / memory_ms: the same compiled
+  plans with only the storage tier underneath swapped (page decode and
+  buffer-pool bookkeeping on every access), which splits execution time
+  into its CPU and storage parts.
 
-* both backends return canonically equal rows for every statement in
-  the mix (a re-statement of ``python -m repro diff`` — a benchmark of
-  two backends that disagree measures nothing);
+The disk tier runs on ``DISK_DATASETS`` with a pool small enough that
+TPC-H does not fit resident, so the sweep exercises eviction and
+write-back.  Alongside the mix, materialization is timed (heap files,
+B+-trees, hash indexes and the SPIMI text index for the whole database)
+and the pool's hit rate is recorded — a pool thrashing its way through
+the mix shows up there long before raw latency moves.
+
+Asserted before any timing means anything (a benchmark of disagreeing
+backends measures nothing):
+
+* memory, SQLite and disk return canonically equal rows for every
+  statement (a re-statement of ``python -m repro diff --backend disk``);
+* the pool's page budget held (``DiskBackend.execute`` raises otherwise);
 * the mix is non-empty for every dataset.
 
-Numbers go to ``BENCH_backends.json``; ``check_regression.py`` compares
-them against the committed ``BENCH_backends_baseline.json``.  Refresh
-the baseline by copying the result file over it after an intentional
-backend change.
-
-Run standalone (``python benchmarks/bench_backends.py``) or via
-``pytest benchmarks/bench_backends.py``.
+Run it with ``python benchmarks/bench_backends.py``; the runner,
+baseline and refresh procedure are described in ``check_regression.py``.
 """
 
 from __future__ import annotations
 
-import json
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.backends import MemoryBackend, SqliteBackend  # noqa: E402
+from gates import Gate  # noqa: E402
+from repro.backends import DiskBackend, MemoryBackend, SqliteBackend  # noqa: E402
 from repro.backends.differential import collect_statements  # noqa: E402
 from repro.backends.normalize import canonical_rows  # noqa: E402
 
 DATASETS = ("university", "tpch", "tpch-unnorm", "acmdl", "acmdl-unnorm")
+DISK_DATASETS = ("university", "tpch", "acmdl")
 REPEATS = 3  # best-of-N to shed scheduler noise
 
-_HERE = Path(__file__).resolve().parent
-RESULT_PATH = _HERE / "BENCH_backends.json"
-BASELINE_PATH = _HERE / "BENCH_backends_baseline.json"
+#: pool small enough that the workload datasets do not fit resident,
+#: so the sweep actually exercises eviction and write-back
+POOL_CAPACITY = 64
+PAGE_SIZE = 2048
 
 # the memory backend (compiled plans, hash joins, plan cache) must never
 # be slower than round-tripping SQL text through SQLite by more than
 # this factor on any workload — if it is, the executor has regressed
 MAX_MEMORY_VS_SQLITE = 5.0
 
+# the disk backend pays for page decode + pool bookkeeping on every
+# access; it must still stay within this factor of the in-memory
+# engine on every workload mix, or the storage tier has regressed
+MAX_DISK_VS_MEMORY = 60.0
 
-def _run_mix(backend, statements) -> None:
-    for _qid, _source, select in statements:
-        backend.execute(select)
+# for a dataset that fits in the pool, a repeated statement mix must be
+# served mostly from resident frames; datasets larger than the pool are
+# exempt — repeated sequential scans under LRU legitimately miss (the
+# classic sequential-flooding pattern), and the ratio gate covers them
+MIN_HIT_RATE = 0.50
+
+GATES = tuple(
+    gate
+    for dataset in DATASETS
+    for gate in (
+        Gate(
+            f"{dataset}.sqlite_ratio",
+            ">=",
+            1.0 / MAX_MEMORY_VS_SQLITE,
+            why=f"memory backend over {MAX_MEMORY_VS_SQLITE:g}x slower than SQLite",
+        ),
+        Gate(
+            f"{dataset}.sqlite_ratio",
+            ">=",
+            0.5,
+            drift="*",
+            why="memory backend regressed vs SQLite",
+        ),
+    )
+) + tuple(
+    gate
+    for dataset in DISK_DATASETS
+    for gate in (
+        Gate(
+            f"{dataset}.disk_ratio",
+            "<=",
+            MAX_DISK_VS_MEMORY,
+            why=f"disk backend over {MAX_DISK_VS_MEMORY:g}x slower than memory",
+        ),
+        Gate(
+            f"{dataset}.hit_rate",
+            ">=",
+            MIN_HIT_RATE,
+            when=f"{dataset}.fits_pool",
+            why="the pool is thrashing",
+        ),
+        Gate(
+            f"{dataset}.max_resident",
+            "<=",
+            POOL_CAPACITY,
+            why="resident frames exceeded the page budget",
+        ),
+        Gate(
+            f"{dataset}.disk_ratio",
+            "<=",
+            1.5,
+            drift="*",
+            why="disk backend regressed vs memory",
+        ),
+        Gate(
+            f"{dataset}.hit_rate",
+            ">=",
+            -0.10,
+            drift="+",
+            why="buffer pool hit rate fell",
+        ),
+    )
+)
 
 
 def _time_mix(backend, statements) -> float:
     best = float("inf")
     for _ in range(REPEATS):
         start = time.perf_counter()
-        _run_mix(backend, statements)
+        for _qid, _source, select in statements:
+            backend.execute(select)
         best = min(best, time.perf_counter() - start)
     return best
 
 
-def measure() -> Dict[str, object]:
-    """Per-dataset memory and SQLite latency over the diff statement mix."""
-    datasets: Dict[str, Dict[str, float]] = {}
+def measure() -> Dict[str, float]:
+    """Per-dataset memory/SQLite/disk latency, materialization, hit rate."""
+    metrics: Dict[str, float] = {}
     for dataset in DATASETS:
         database, statements = collect_statements(dataset)
         assert statements, f"{dataset}: empty statement mix"
@@ -76,78 +152,61 @@ def measure() -> Dict[str, object]:
         memory.load(database)
         sqlite = SqliteBackend()
         sqlite.load(database)
+        disk = None
+        if dataset in DISK_DATASETS:
+            disk = DiskBackend(pool_capacity=POOL_CAPACITY, page_size=PAGE_SIZE)
         try:
-            # correctness first: a benchmark of disagreeing backends
-            # measures nothing (and warms both backends for the timing)
+            if disk is not None:
+                start = time.perf_counter()
+                disk.load(database)
+                metrics[f"{dataset}.materialize_ms"] = (
+                    time.perf_counter() - start
+                ) * 1000.0
+            # correctness first (and this warms every backend for the timing)
             for qid, source, select in statements:
                 fast = canonical_rows(memory.execute(select).rows)
                 oracle = canonical_rows(sqlite.execute(select).rows)
-                assert fast == oracle, (
-                    f"{dataset} {qid} [{source}]: backends disagree"
-                )
+                assert fast == oracle, f"{dataset} {qid} [{source}]: sqlite disagrees"
+                if disk is not None:
+                    paged = canonical_rows(disk.execute(select).rows)
+                    assert fast == paged, f"{dataset} {qid} [{source}]: disk disagrees"
+            # disk is timed right after memory: its ratio has the tighter
+            # drift bound, and the host's speed drifts less between
+            # adjacent timings
             memory_s = _time_mix(memory, statements)
+            metrics[f"{dataset}.statements"] = len(statements)
+            metrics[f"{dataset}.memory_ms"] = memory_s * 1000.0
+            if disk is not None:
+                disk_s = _time_mix(disk, statements)
+                counters = disk.pool_counters()
+                totals = disk.storage_manifest()["totals"]
+                accesses = counters["hits"] + counters["misses"]
+                metrics[f"{dataset}.disk_ms"] = disk_s * 1000.0
+                metrics[f"{dataset}.disk_ratio"] = (
+                    disk_s / memory_s if memory_s else float("inf")
+                )
+                metrics[f"{dataset}.pages"] = totals["pages"]
+                metrics[f"{dataset}.rows"] = totals["rows"]
+                metrics[f"{dataset}.fits_pool"] = float(
+                    totals["pages"] <= POOL_CAPACITY
+                )
+                metrics[f"{dataset}.hit_rate"] = (
+                    counters["hits"] / accesses if accesses else 1.0
+                )
+                metrics[f"{dataset}.max_resident"] = counters["max_resident"]
             sqlite_s = _time_mix(sqlite, statements)
+            metrics[f"{dataset}.sqlite_ms"] = sqlite_s * 1000.0
+            metrics[f"{dataset}.sqlite_ratio"] = (
+                sqlite_s / memory_s if memory_s else float("inf")
+            )
         finally:
             sqlite.close()
-        datasets[dataset] = {
-            "statements": len(statements),
-            "memory_ms": memory_s * 1000.0,
-            "sqlite_ms": sqlite_s * 1000.0,
-            "ratio": sqlite_s / memory_s if memory_s else float("inf"),
-        }
-    return {"datasets": datasets}
-
-
-def check(result: Dict[str, object]) -> List[str]:
-    """Failure messages (empty when the check passes)."""
-    failures: List[str] = []
-    for dataset, numbers in result["datasets"].items():
-        ratio = float(numbers["ratio"])
-        if ratio < 1.0 / MAX_MEMORY_VS_SQLITE:
-            failures.append(
-                f"{dataset}: memory backend is {1.0 / ratio:.1f}x slower "
-                f"than SQLite (allowed: {MAX_MEMORY_VS_SQLITE:.1f}x)"
-            )
-    return failures
-
-
-def write_result(result: Dict[str, object]) -> None:
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_result(result: Dict[str, object]) -> str:
-    lines = []
-    for dataset, numbers in result["datasets"].items():
-        lines.append(
-            f"{dataset}: {numbers['statements']} statements, "
-            f"memory {numbers['memory_ms']:.1f} ms, "
-            f"sqlite {numbers['sqlite_ms']:.1f} ms "
-            f"(ratio {numbers['ratio']:.2f})"
-        )
-    return "\n".join(lines)
-
-
-def test_backends_agree_and_hold_ratio():
-    result = measure()
-    write_result(result)
-    failures = check(result)
-    assert not failures, "; ".join(failures) + "\n" + format_result(result)
-
-
-def main() -> int:
-    result = measure()
-    write_result(result)
-    print(format_result(result))
-    print(f"wrote {RESULT_PATH}")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if not failures:
-        print("OK")
-    return 1 if failures else 0
+            if disk is not None:
+                disk.close()
+    return metrics
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from check_regression import main
+
+    raise SystemExit(main(["backends"]))

@@ -8,34 +8,29 @@ pipeline).  Three numbers gate the sweep:
 
 * **total ratio** — optimizer-on wall time over optimizer-off wall time,
   summed across the whole workload.  The optimizer must never make the
-  workload slower overall (``<= MAX_TOTAL_RATIO``).
+  workload slower overall (``<= 1.0``).
 * **big-join speedup** — optimizer-off over optimizer-on time on the
-  >= 4-relation subset, where join-order choices dominate.  The cyclic
-  queries (TPC-H Q5 shape: the supplier-customer nation/region edge
-  closes a cycle) are the planted traps: the greedy min-product pick
-  joins the expanding many-to-many edge early, the DP search defers it.
+  >= 4-relation subset, where join-order choices dominate (``>= 1.3``).
+  The cyclic queries (TPC-H Q5 shape: the supplier-customer
+  nation/region edge closes a cycle) are the planted traps: the greedy
+  min-product pick joins the expanding many-to-many edge early, the DP
+  search defers it.
 * **median q-error** — per-operator ``max(est/actual, actual/est)``
   collected from every optimized plan's :attr:`CompiledPlan.last_run`.
   The estimator may be wrong in the tails but must be right in the
-  middle (``<= MAX_MEDIAN_Q_ERROR``).
+  middle (``<= 4.0``).
 
 Correctness is asserted before any timing means anything: both modes
 must return canonically equal rows for every statement (float aggregates
 are compared through ``rows_match``, since a different join order sums
 in a different addition order).
 
-Numbers go to ``BENCH_planner.json``; ``check_regression.py`` compares
-them against the committed ``BENCH_planner_baseline.json``.  Refresh the
-baseline by copying the result file over it after an intentional planner
-change.
-
-Run standalone (``python benchmarks/bench_planner.py``) or via
-``pytest benchmarks/bench_planner.py``.
+Run it with ``python benchmarks/bench_planner.py``; the runner,
+baseline and refresh procedure are described in ``check_regression.py``.
 """
 
 from __future__ import annotations
 
-import json
 import statistics
 import sys
 import time
@@ -44,6 +39,7 @@ from typing import Dict, List, Tuple
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gates import Gate  # noqa: E402
 from repro.backends.normalize import rows_match  # noqa: E402
 from repro.datasets import generate_acmdl, generate_tpch  # noqa: E402
 from repro.datasets.acmdl import AcmdlConfig  # noqa: E402
@@ -56,14 +52,34 @@ SCALE_FACTOR = 2.0  # the acceptance floor is SF >= 2
 REPEATS = 3  # best-of-N to shed scheduler noise
 BIG_JOIN_RELATIONS = 4  # the subset where join ordering dominates
 
-# hard gates (machine-relative: both modes run in-process on the same data)
-MAX_TOTAL_RATIO = 1.0  # optimizer-on must not slow the workload down
-MIN_BIG_JOIN_SPEEDUP = 1.3  # and must win where join ordering matters
-MAX_MEDIAN_Q_ERROR = 4.0  # estimates must be right in the middle
-
-_HERE = Path(__file__).resolve().parent
-RESULT_PATH = _HERE / "BENCH_planner.json"
-BASELINE_PATH = _HERE / "BENCH_planner_baseline.json"
+# hard gates are machine-relative (both modes run in-process on the same
+# data); the drift gates catch the DP search no longer finding the plans
+# the greedy misses, or the statistics/selectivity model regressing
+GATES = (
+    Gate(
+        "total_ratio",
+        "<=",
+        1.0,
+        why="optimizer-on must not slow the workload down",
+    ),
+    Gate(
+        "big_join_speedup",
+        ">=",
+        1.3,
+        why=f"optimizer must win on the >={BIG_JOIN_RELATIONS}-relation subset",
+    ),
+    Gate(
+        "median_q_error",
+        "<=",
+        4.0,
+        why="cardinality estimates must be right in the middle",
+    ),
+    Gate("total_ratio", "<=", 1.5, drift="*", why="planner total ratio regressed"),
+    Gate(
+        "big_join_speedup", ">=", 0.65, drift="*", why="big-join speedup regressed"
+    ),
+    Gate("median_q_error", "<=", 1.0, drift="+", why="median q-error regressed"),
+)
 
 #: (dataset, qid, sql, relation count).  The >= 4-relation queries are
 #: the plan-quality subset; the cyclic ones are the greedy traps.
@@ -174,7 +190,7 @@ def _time_one(executor: Executor, select) -> float:
     return best
 
 
-def measure() -> Dict[str, object]:
+def measure() -> Dict[str, float]:
     """Per-query optimizer-on vs optimizer-off timings plus q-errors."""
     databases = _databases()
     executors = {
@@ -184,7 +200,7 @@ def measure() -> Dict[str, object]:
         )
         for name, database in databases.items()
     }
-    queries: List[Dict[str, object]] = []
+    metrics: Dict[str, float] = {}
     q_errors: List[float] = []
     total_on = total_off = 0.0
     big_on = big_off = 0.0
@@ -209,103 +225,25 @@ def measure() -> Dict[str, object]:
         if relations >= BIG_JOIN_RELATIONS:
             big_on += on_s
             big_off += off_s
-        queries.append(
-            {
-                "dataset": dataset,
-                "qid": qid,
-                "relations": relations,
-                "cost_ms": on_s * 1000.0,
-                "heuristic_ms": off_s * 1000.0,
-                "speedup": off_s / on_s if on_s else float("inf"),
-                "median_q_error": statistics.median(per_query_errors),
-            }
+        metrics[f"{dataset}.{qid}.cost_ms"] = on_s * 1000.0
+        metrics[f"{dataset}.{qid}.heuristic_ms"] = off_s * 1000.0
+        metrics[f"{dataset}.{qid}.median_q_error"] = statistics.median(
+            per_query_errors
         )
-    return {
-        "scale_factor": SCALE_FACTOR,
-        "queries": queries,
-        "total_cost_ms": total_on * 1000.0,
-        "total_heuristic_ms": total_off * 1000.0,
-        "total_ratio": total_on / total_off if total_off else float("inf"),
-        "big_join_speedup": big_off / big_on if big_on else float("inf"),
-        "median_q_error": statistics.median(q_errors),
-        "observations": len(q_errors),
-    }
-
-
-def check(result: Dict[str, object]) -> List[str]:
-    """Failure messages (empty when the check passes)."""
-    failures: List[str] = []
-    ratio = float(result["total_ratio"])
-    if ratio > MAX_TOTAL_RATIO:
-        failures.append(
-            f"optimizer-on workload is {ratio:.2f}x the heuristic total "
-            f"(allowed: {MAX_TOTAL_RATIO:.1f}x)"
-        )
-    speedup = float(result["big_join_speedup"])
-    if speedup < MIN_BIG_JOIN_SPEEDUP:
-        failures.append(
-            f"optimizer wins only {speedup:.2f}x on the "
-            f">={BIG_JOIN_RELATIONS}-relation subset "
-            f"(required: {MIN_BIG_JOIN_SPEEDUP:.1f}x)"
-        )
-    q_error = float(result["median_q_error"])
-    if q_error > MAX_MEDIAN_Q_ERROR:
-        failures.append(
-            f"median cardinality q-error is {q_error:.2f} "
-            f"(allowed: {MAX_MEDIAN_Q_ERROR:.1f})"
-        )
-    return failures
-
-
-def write_result(result: Dict[str, object]) -> None:
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_result(result: Dict[str, object]) -> str:
-    lines = [
-        f"SF{result['scale_factor']:g} plan-quality sweep, "
-        f"{len(result['queries'])} queries: "
-        f"cost {result['total_cost_ms']:.1f} ms, "
-        f"heuristic {result['total_heuristic_ms']:.1f} ms "
-        f"(ratio {result['total_ratio']:.2f}), "
-        f">={BIG_JOIN_RELATIONS}-relation speedup "
-        f"{result['big_join_speedup']:.2f}x, "
-        f"median q-error {result['median_q_error']:.2f} "
-        f"over {result['observations']} operators"
-    ]
-    for numbers in result["queries"]:
-        lines.append(
-            f"  {numbers['dataset']}/{numbers['qid']} "
-            f"({numbers['relations']} rel): "
-            f"cost {numbers['cost_ms']:.1f} ms, "
-            f"heuristic {numbers['heuristic_ms']:.1f} ms "
-            f"({numbers['speedup']:.2f}x), "
-            f"q-err {numbers['median_q_error']:.2f}"
-        )
-    return "\n".join(lines)
-
-
-def test_planner_beats_heuristic_and_estimates_hold():
-    result = measure()
-    write_result(result)
-    failures = check(result)
-    assert not failures, "; ".join(failures) + "\n" + format_result(result)
-
-
-def main() -> int:
-    result = measure()
-    write_result(result)
-    print(format_result(result))
-    print(f"wrote {RESULT_PATH}")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if not failures:
-        print("OK")
-    return 1 if failures else 0
+    metrics.update(
+        {
+            "total_cost_ms": total_on * 1000.0,
+            "total_heuristic_ms": total_off * 1000.0,
+            "total_ratio": total_on / total_off if total_off else float("inf"),
+            "big_join_speedup": big_off / big_on if big_on else float("inf"),
+            "median_q_error": statistics.median(q_errors),
+            "observations": len(q_errors),
+        }
+    )
+    return metrics
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from check_regression import main
+
+    raise SystemExit(main(["planner"]))

@@ -15,7 +15,6 @@ from repro.backends.normalize import canonical_rows, rows_match
 from repro.datasets import TpchConfig, generate_tpch
 from repro.engine import KeywordSearchEngine
 from repro.experiments import TPCH_QUERIES, pick_interpretation, spec_by_id
-from repro.relational.executor import Executor
 
 SCALES = {
     "small": TpchConfig(seed=42, parts=80, suppliers=30, customers=60, orders=300),
@@ -49,27 +48,13 @@ def test_compile_time_is_schema_bound(benchmark, scale, engines):
 
 @pytest.mark.parametrize("scale", list(SCALES), ids=list(SCALES))
 def test_execution_time_grows_with_data(benchmark, scale, engines):
+    """Warm compiled-plan execution of T6; the answer must equal the SQLite
+    backend's canonical row multiset for the same Select."""
     engine = engines[scale]
     chosen = pick_interpretation(engine.compile(T6.text), T6)
     select = chosen.select
     result = benchmark(lambda: engine.executor.execute(select))
     assert len(result) > 0
-    benchmark.extra_info["scale"] = scale
-    benchmark.extra_info["suppliers"] = len(result)
-
-
-def test_execution_by_mode(benchmark, engines):
-    """Compiled-plan execution on the large scale, checked against SQLite.
-
-    The warm executor times the compiled path; its answer must equal the
-    SQLite backend's canonical row multiset for the same Select.
-    """
-    engine = engines["large"]
-    chosen = pick_interpretation(engine.compile(T6.text), T6)
-    select = chosen.select
-    executor = Executor(engine.database)
-    executor.execute(select)  # warm plan cache / build indexes
-    result = benchmark(lambda: executor.execute(select))
     sqlite = SqliteBackend()
     sqlite.load(engine.database)
     try:
@@ -77,7 +62,8 @@ def test_execution_by_mode(benchmark, engines):
     finally:
         sqlite.close()
     assert rows_match(canonical_rows(result.rows), canonical_rows(expected))
-    benchmark.extra_info["mode"] = "compiled"
+    benchmark.extra_info["scale"] = scale
+    benchmark.extra_info["suppliers"] = len(result)
 
 
 def test_search_many_batch(benchmark, engines):

@@ -19,7 +19,7 @@ second) plus **throughput-per-core** (throughput divided by the cores
 the configuration can actually use, ``min(workers, cpu_count)``) — the
 honest scale-out number on a small machine.
 
-Acceptance gates (``check``):
+Acceptance gates (``GATES``):
 
 * every configuration: only clean outcomes under load, counters
   reconcile;
@@ -27,31 +27,33 @@ Acceptance gates (``check``):
   single-client p95 (the original serving guarantee, unchanged);
 * ``w4`` at 4x load: throughput at least ``MIN_SCALEOUT_SPEEDUP`` times
   the ``w1`` peak throughput, and shed rate at most
-  ``MAX_SCALEOUT_SHED_RATE`` (the scale-out acceptance criteria).
+  ``MAX_SCALEOUT_SHED_RATE`` (the scale-out acceptance criteria);
+* drift, per configuration: the peak shed rate and peak
+  throughput-per-core against the baseline.  The p95 ratio drifts only
+  for ``w1``: pool configurations keep requests queued at peak by
+  design, so their admitted p95 is a function of queue depth, not
+  serving speed — throughput is their latency-honest signal.
 
 The result cache runs with ``ttl=0`` so every admitted request does real
 engine work (single-flight coalescing still applies, as it would in
-production); numbers are written to ``BENCH_service.json`` and compared
-against the committed ``BENCH_service_baseline.json`` by
-``check_regression.py``.  Refresh the baseline by copying the result
-file over it after an intentional serving-layer change.
+production).
 
-Run standalone (``python benchmarks/bench_service.py``) or via
-``pytest benchmarks/bench_service.py``.
+Run it with ``python benchmarks/bench_service.py``; the runner,
+baseline and refresh procedure are described in ``check_regression.py``.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from gates import Gate  # noqa: E402
 from repro.datasets import university_database  # noqa: E402
 from repro.engine import KeywordSearchEngine  # noqa: E402
 from repro.service import QueryService, ServiceConfig, ServiceRequest  # noqa: E402
@@ -84,9 +86,83 @@ QUERIES = [
     "MAX COUNT Student",
 ]
 
-_HERE = Path(__file__).resolve().parent
-RESULT_PATH = _HERE / "BENCH_service.json"
-BASELINE_PATH = _HERE / "BENCH_service_baseline.json"
+_CONFIGS = tuple(str(spec["name"]) for spec in SWEEP)
+_LEVELS = tuple(f"{multiplier}x" for multiplier in MULTIPLIERS)
+
+GATES = (
+    *(
+        gate
+        for name in _CONFIGS
+        for level in _LEVELS
+        for gate in (
+            Gate(
+                f"{name}.{level}.unexpected",
+                "<=",
+                0,
+                why="non-clean outcomes under load",
+            ),
+            Gate(f"{name}.{level}.admitted", ">=", 1, why="no requests admitted"),
+        )
+    ),
+    *(
+        Gate(
+            f"{name}.counters_reconcile",
+            ">=",
+            1,
+            why="counters do not reconcile after the run",
+        )
+        for name in _CONFIGS
+    ),
+    Gate(
+        "w1.p95_ratio_at_peak",
+        "<=",
+        MAX_P95_RATIO,
+        why="overload must shed, not slow the admitted work down",
+    ),
+    Gate(
+        "scaleout.speedup_at_peak_w4_vs_w1",
+        ">=",
+        MIN_SCALEOUT_SPEEDUP,
+        why="w4 peak throughput must scale out over the w1 baseline",
+    ),
+    Gate(
+        "scaleout.shed_rate_at_peak_w4",
+        "<=",
+        MAX_SCALEOUT_SHED_RATE,
+        why="w4 must absorb 4x load without shedding",
+    ),
+    Gate(
+        "w1.p95_ratio_at_peak",
+        "<=",
+        1.5,
+        drift="*",
+        why="service p95 ratio regressed",
+    ),
+    *(
+        Gate(
+            f"{name}.shed_rate_at_peak",
+            "<=",
+            0.25,
+            drift="+",
+            why="service shed rate at peak regressed",
+        )
+        for name in _CONFIGS
+    ),
+    # generous because closed-loop wall clocks on shared machines are
+    # noisy, but a real serving-layer regression (lost coalescing, broken
+    # memo, per-dispatch overhead) costs more than half the throughput
+    *(
+        Gate(
+            f"{name}.throughput_per_core_at_peak_rps",
+            ">=",
+            0.5,
+            drift="*",
+            why="peak throughput-per-core regressed",
+            context=("cpu_count",),
+        )
+        for name in _CONFIGS
+    ),
+)
 
 
 def _build_service(spec: Dict[str, object]) -> QueryService:
@@ -159,7 +235,7 @@ def _run_clients(
     return {"records": records, "wall_s": wall_s}
 
 
-def _summarize(run: Dict[str, object], cores: int) -> Dict[str, object]:
+def _summarize(run: Dict[str, object], cores: int) -> Dict[str, float]:
     records = run["records"]
     wall_s = max(float(run["wall_s"]), 1e-9)
     admitted = [
@@ -168,20 +244,13 @@ def _summarize(run: Dict[str, object], cores: int) -> Dict[str, object]:
         if record["status"] == "ok"
     ]
     shed = sum(1 for record in records if record["status"] == "shed")
-    other = sorted(
-        {
-            str(record["status"])
-            for record in records
-            if record["status"] not in ("ok", "shed")
-        }
-    )
     throughput = len(admitted) / wall_s
     return {
         "requests": len(records),
         "admitted": len(admitted),
         "shed": shed,
         "shed_rate": shed / len(records) if records else 0.0,
-        "unexpected_statuses": other,
+        "unexpected": len(records) - len(admitted) - shed,
         "p50_ms": percentile(admitted, 0.50),
         "p95_ms": percentile(admitted, 0.95),
         "p99_ms": percentile(admitted, 0.99),
@@ -191,7 +260,7 @@ def _summarize(run: Dict[str, object], cores: int) -> Dict[str, object]:
     }
 
 
-def _measure_config(spec: Dict[str, object]) -> Dict[str, object]:
+def _measure_config(spec: Dict[str, object]) -> Dict[str, float]:
     workers = int(spec["worker_processes"])
     cores = max(1, min(workers or 1, os.cpu_count() or 1))
     service = _build_service(spec)
@@ -202,162 +271,55 @@ def _measure_config(spec: Dict[str, object]) -> Dict[str, object]:
             _run_clients(service, 1, SINGLE_CLIENT_REQUESTS), cores
         )
         fleet_unit = workers or 1
-        loads: Dict[str, Dict[str, object]] = {}
-        for multiplier in MULTIPLIERS:
-            loads[f"{multiplier}x"] = _summarize(
+        loads = {
+            f"{multiplier}x": _summarize(
                 _run_clients(
                     service, fleet_unit * multiplier, REQUESTS_PER_LEVEL
                 ),
                 cores,
             )
+            for multiplier in MULTIPLIERS
+        }
         counters = service.metrics_snapshot()["service"]["counters"]
-    peak = loads[f"{MULTIPLIERS[-1]}x"]
-    single_p95 = float(single["p95_ms"]) or 1e-9
-    return {
-        "name": spec["name"],
-        "worker_processes": workers,
-        "threads": int(spec["threads"]),
-        "queue_limit": int(spec["queue_limit"]),
-        "cores_used": cores,
-        "single_client": single,
-        "loads": loads,
-        "p95_ratio_at_peak": float(peak["p95_ms"]) / single_p95,
-        "shed_rate_at_peak": float(peak["shed_rate"]),
-        "throughput_at_peak_rps": float(peak["throughput_rps"]),
-        "throughput_per_core_at_peak_rps": float(
-            peak["throughput_per_core_rps"]
-        ),
-        "counters_reconcile": counters["requests_admitted"]
-        == counters.get("result_cache_hits", 0)
-        + counters.get("result_cache_misses", 0)
-        + counters.get("singleflight_coalesced", 0),
+    peak = loads[_LEVELS[-1]]
+    metrics = {
+        f"{level}.{key}": value
+        for level, summary in {"single_client": single, **loads}.items()
+        for key, value in summary.items()
     }
-
-
-def measure() -> Dict[str, object]:
-    configs = {spec["name"]: _measure_config(spec) for spec in SWEEP}
-    w1 = configs["w1"]
-    w4 = configs["w4"]
-    base_throughput = float(w1["throughput_at_peak_rps"]) or 1e-9
-    return {
-        "cpu_count": os.cpu_count() or 1,
-        "configs": configs,
-        "scaleout": {
-            "speedup_at_peak_w4_vs_w1": float(w4["throughput_at_peak_rps"])
-            / base_throughput,
-            "shed_rate_at_peak_w4": float(w4["shed_rate_at_peak"]),
-        },
-    }
-
-
-def check(result: Dict[str, object]) -> List[str]:
-    """Failure messages (empty when the serving guarantees hold)."""
-    failures: List[str] = []
-    for name, config in result["configs"].items():
-        for level, summary in config["loads"].items():
-            if summary["unexpected_statuses"]:
-                failures.append(
-                    f"{name} {level}: non-clean outcomes under load: "
-                    f"{summary['unexpected_statuses']}"
-                )
-            if summary["admitted"] == 0:
-                failures.append(f"{name} {level}: no requests admitted at all")
-        if not config["counters_reconcile"]:
-            failures.append(f"{name}: counters do not reconcile after the run")
-    # the original single-worker guarantee: overload sheds, the admitted
-    # work does not slow down
-    w1_ratio = float(result["configs"]["w1"]["p95_ratio_at_peak"])
-    if w1_ratio > MAX_P95_RATIO:
-        failures.append(
-            f"w1: admitted p95 at peak load is {w1_ratio:.2f}x the "
-            f"single-client p95 (allowed: {MAX_P95_RATIO:.1f}x) — overload "
-            f"must shed, not slow down"
-        )
-    # the scale-out acceptance criteria: w4 at 4x load beats the w1
-    # baseline by MIN_SCALEOUT_SPEEDUP and sheds almost nothing
-    scaleout = result["scaleout"]
-    speedup = float(scaleout["speedup_at_peak_w4_vs_w1"])
-    if speedup < MIN_SCALEOUT_SPEEDUP:
-        failures.append(
-            f"w4 peak throughput is only {speedup:.2f}x the w1 baseline "
-            f"(required: >= {MIN_SCALEOUT_SPEEDUP:.1f}x)"
-        )
-    shed_rate = float(scaleout["shed_rate_at_peak_w4"])
-    if shed_rate > MAX_SCALEOUT_SHED_RATE:
-        failures.append(
-            f"w4 shed rate at 4x load is {100.0 * shed_rate:.0f}% "
-            f"(allowed: <= {100.0 * MAX_SCALEOUT_SHED_RATE:.0f}%)"
-        )
-    return failures
-
-
-def write_result(result: Dict[str, object]) -> None:
-    with open(RESULT_PATH, "w", encoding="utf-8") as handle:
-        json.dump(result, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def format_result(result: Dict[str, object]) -> str:
-    lines: List[str] = []
-    for name, config in result["configs"].items():
-        lines.append(
-            f"{name}: {config['worker_processes']} worker processes, "
-            f"{config['threads']} threads, queue {config['queue_limit']}, "
-            f"single-client p95 {config['single_client']['p95_ms']:.1f} ms"
-        )
-        for level, summary in config["loads"].items():
-            lines.append(
-                f"  {level:>3} load: p50 {summary['p50_ms']:.1f} ms, "
-                f"p95 {summary['p95_ms']:.1f} ms, "
-                f"p99 {summary['p99_ms']:.1f} ms, "
-                f"shed {100.0 * summary['shed_rate']:.0f}% "
-                f"({summary['shed']}/{summary['requests']}), "
-                f"{summary['throughput_rps']:.0f} rps "
-                f"({summary['throughput_per_core_rps']:.0f} rps/core)"
-            )
-    scaleout = result["scaleout"]
-    lines.append(
-        f"scale-out: w4 peak throughput "
-        f"{scaleout['speedup_at_peak_w4_vs_w1']:.2f}x the w1 baseline "
-        f"(required {MIN_SCALEOUT_SPEEDUP:.1f}x), shed "
-        f"{100.0 * scaleout['shed_rate_at_peak_w4']:.0f}% "
-        f"(allowed {100.0 * MAX_SCALEOUT_SHED_RATE:.0f}%)"
+    metrics.update(
+        {
+            "cores_used": cores,
+            "p95_ratio_at_peak": peak["p95_ms"] / (single["p95_ms"] or 1e-9),
+            "shed_rate_at_peak": peak["shed_rate"],
+            "throughput_at_peak_rps": peak["throughput_rps"],
+            "throughput_per_core_at_peak_rps": peak["throughput_per_core_rps"],
+            "counters_reconcile": float(
+                counters["requests_admitted"]
+                == counters.get("result_cache_hits", 0)
+                + counters.get("result_cache_misses", 0)
+                + counters.get("singleflight_coalesced", 0)
+            ),
+        }
     )
-    return "\n".join(lines)
+    return metrics
 
 
-# ----------------------------------------------------------------------
-# pytest wiring (collected by `pytest benchmarks/`)
-# ----------------------------------------------------------------------
-_RESULT_CACHE: Optional[Dict[str, object]] = None
-
-
-def _measured() -> Dict[str, object]:
-    global _RESULT_CACHE
-    if _RESULT_CACHE is None:
-        _RESULT_CACHE = measure()
-        write_result(_RESULT_CACHE)
-    return _RESULT_CACHE
-
-
-def test_service_survives_overload_and_scales_out():
-    result = _measured()
-    failures = check(result)
-    assert not failures, "; ".join(failures) + "\n" + format_result(result)
-
-
-def main() -> int:
-    result = measure()
-    write_result(result)
-    print(format_result(result))
-    print(f"wrote {RESULT_PATH}")
-    failures = check(result)
-    for failure in failures:
-        print(f"FAIL: {failure}")
-    if not failures:
-        print("OK")
-    return 1 if failures else 0
+def measure() -> Dict[str, float]:
+    metrics: Dict[str, float] = {"cpu_count": os.cpu_count() or 1}
+    for spec in SWEEP:
+        config = _measure_config(spec)
+        metrics.update(
+            {f"{spec['name']}.{key}": value for key, value in config.items()}
+        )
+    metrics["scaleout.speedup_at_peak_w4_vs_w1"] = metrics[
+        "w4.throughput_at_peak_rps"
+    ] / (metrics["w1.throughput_at_peak_rps"] or 1e-9)
+    metrics["scaleout.shed_rate_at_peak_w4"] = metrics["w4.shed_rate_at_peak"]
+    return metrics
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    from check_regression import main
+
+    raise SystemExit(main(["service"]))
