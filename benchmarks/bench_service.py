@@ -9,8 +9,10 @@ logic:
   guarantee was written against: overload must *shed*, not slow the
   admitted work down.
 * ``w2`` / ``w4`` — pool mode (``worker_processes=2|4``) with the queue
-  scaled to the worker count, exercising the compile/execute split, the
-  shared plan-artifact cache and cross-worker single-flight coalescing.
+  scaled to the worker count, exercising dispatch, consistent-hash
+  routing and each worker's payload memo.  ``cache_ttl_s=0`` turns off
+  only the front end's result cache: a repeated query is still answered
+  from the memo of the worker it routes to.
 
 For every offered load (client fleets at 1x / 2x / 4x the configuration's
 worker count) the bench reports p50/p95/p99 latency of admitted
@@ -150,7 +152,8 @@ GATES = (
     ),
     # generous because closed-loop wall clocks on shared machines are
     # noisy, but a real serving-layer regression (lost coalescing, broken
-    # memo, per-dispatch overhead) costs more than half the throughput
+    # worker memo, per-dispatch overhead) costs more than half the
+    # throughput
     *(
         Gate(
             f"{name}.throughput_per_core_at_peak_rps",
@@ -171,7 +174,8 @@ def _build_service(spec: Dict[str, object]) -> QueryService:
         ServiceConfig(
             max_workers=int(spec["threads"]),
             queue_limit=int(spec["queue_limit"]),
-            cache_ttl_s=0.0,  # every admitted request does real work
+            # no front-end result cache; pool workers still memoize
+            cache_ttl_s=0.0,
             default_deadline_s=30.0,
             worker_processes=int(spec["worker_processes"]),
         )

@@ -14,7 +14,7 @@ ladder.  Quick start::
 """
 
 from repro.service.breaker import CLOSED, HALF_OPEN, OPEN, CircuitBreaker
-from repro.service.cache import PlanArtifactCache, ResultCache
+from repro.service.cache import ResultCache
 from repro.service.config import ServiceConfig
 from repro.service.http import ServiceHTTPServer, make_server
 from repro.service.pool import WorkerPool
@@ -30,7 +30,6 @@ __all__ = [
     "CircuitBreaker",
     "HALF_OPEN",
     "OPEN",
-    "PlanArtifactCache",
     "QueryService",
     "ResultCache",
     "ServiceConfig",

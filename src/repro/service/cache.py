@@ -1,7 +1,8 @@
 """TTL result cache with single-flight deduplication.
 
 The service caches finished response payloads by
-``(dataset, engine, mode, query, k)``.  Two properties matter under
+``(dataset, engine, mode, query, k, backend)``; each pool worker keeps
+one more, with no TTL, as its memo.  Two properties matter under
 concurrency:
 
 * **TTL + LRU** — an entry is served only while fresh
@@ -35,7 +36,7 @@ from typing import Any, Callable, Dict, Hashable, Optional, Tuple
 
 from repro.errors import DeadlineExceededError
 
-__all__ = ["PlanArtifactCache", "ResultCache"]
+__all__ = ["ResultCache"]
 
 
 class _Flight:
@@ -197,70 +198,3 @@ class ResultCache:
         with self._lock:
             return self._invalidations
 
-
-class PlanArtifactCache:
-    """Shared compile-tier cache: rendered interpretation fragments.
-
-    In multi-process serving (``repro/service/pool.py``) the compile tier
-    — keyword → ranked patterns → translated SQL — produces a small,
-    JSON-shaped *artifact* (the ``interpretations`` fragment of a response).
-    The front end keeps those artifacts here, keyed like the result cache
-    (``(dataset, engine, mode, query, k, backend)``), and ships them with
-    dispatches so **any** worker can reuse a compilation performed by any
-    other worker — the cross-process plan sharing the two-tier split is
-    for.  Unlike :class:`ResultCache` there is no TTL: a fragment is pure
-    function of (schema, query, k) and only invalidation epochs — bumped
-    by ``engine.clear_cache()`` — can stale it.
-
-    ``put`` is epoch-guarded the same way ``ResultCache`` stores are: a
-    fragment compiled before an invalidation must not be stored after it.
-    """
-
-    def __init__(self, size: int = 256) -> None:
-        if size < 1:
-            raise ValueError(f"size must be >= 1, got {size}")
-        self.size = size
-        self._lock = threading.Lock()
-        self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-        self._invalidations = 0
-
-    def get(self, key: Hashable) -> Optional[Any]:
-        with self._lock:
-            fragment = self._entries.get(key)
-            if fragment is not None:
-                self._entries.move_to_end(key)
-            return fragment
-
-    def put(self, key: Hashable, fragment: Any, epoch: int) -> bool:
-        """Store *fragment* unless an invalidation happened after *epoch*
-        (the epoch observed when its compilation began)."""
-        with self._lock:
-            if epoch != self._invalidations:
-                return False
-            self._entries[key] = fragment
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.size:
-                self._entries.popitem(last=False)
-            return True
-
-    @property
-    def epoch(self) -> int:
-        with self._lock:
-            return self._invalidations
-
-    def invalidate(self, predicate: Optional[Callable[[Hashable], bool]] = None) -> int:
-        with self._lock:
-            if predicate is None:
-                dropped = len(self._entries)
-                self._entries.clear()
-            else:
-                doomed = [key for key in self._entries if predicate(key)]
-                for key in doomed:
-                    del self._entries[key]
-                dropped = len(doomed)
-            self._invalidations += 1
-            return dropped
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)

@@ -49,12 +49,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="engine-owning worker processes (0: serve in-process)",
     )
     parser.add_argument(
-        "--route-by",
-        choices=["query", "dataset"],
-        default="query",
-        help="consistent-hash routing key for the worker pool",
-    )
-    parser.add_argument(
         "--worker-context",
         choices=["fork", "spawn", "forkserver"],
         default=None,
@@ -136,18 +130,21 @@ def run_serve(argv: Optional[List[str]] = None, out=None) -> int:
     if not names:
         print("error: no datasets requested", file=out)
         return 2
-    config = ServiceConfig(
-        max_workers=args.workers,
-        queue_limit=args.queue_limit,
-        default_deadline_s=(
-            args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
-        ),
-        default_k=args.k,
-        cache_ttl_s=args.cache_ttl,
-        worker_processes=args.worker_processes,
-        worker_context=args.worker_context,
-        route_by=args.route_by,
-    )
+    try:
+        config = ServiceConfig(
+            max_workers=args.workers,
+            queue_limit=args.queue_limit,
+            default_deadline_s=(
+                args.deadline_ms / 1000.0 if args.deadline_ms > 0 else None
+            ),
+            default_k=args.k,
+            cache_ttl_s=args.cache_ttl,
+            worker_processes=args.worker_processes,
+            worker_context=args.worker_context,
+        )
+    except ValueError as exc:
+        print(f"error: {exc}", file=out)
+        return 2
     print(f"loading datasets: {', '.join(names)}", file=out)
     service = build_service(names, config)
     server = make_server(service, host=args.host, port=args.port)

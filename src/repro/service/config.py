@@ -28,9 +28,9 @@ class ServiceConfig:
 
     Result cache
         ``cache_size`` entries, each fresh for ``cache_ttl_s`` seconds,
-        keyed by ``(dataset, engine, mode, query, k)`` with single-flight
-        deduplication.  ``cache_ttl_s=0`` disables caching but keeps the
-        single-flight behaviour.
+        keyed by ``(dataset, engine, mode, query, k, backend)`` with
+        single-flight deduplication.  ``cache_ttl_s=0`` disables caching
+        but keeps the single-flight behaviour.
 
     Circuit breaker (per dataset)
         ``breaker_failure_threshold`` consecutive failures open the
@@ -46,15 +46,13 @@ class ServiceConfig:
     Process worker tier (``docs/SERVING.md`` § scale-out)
         ``worker_processes`` engine-owning worker *processes* behind the
         thread tier (0 — the default — serves in-process exactly as
-        before).  ``worker_context`` picks the multiprocessing start
-        method (``None``: fork where available, else spawn);
-        ``route_by`` is the consistent-hash routing key (``"query"``:
-        ``(dataset, query)`` so queries spread across workers with sticky
-        caches; ``"dataset"``: strict per-dataset worker ownership).
+        before), routed by a consistent hash of ``(dataset, query)``.
+        Each worker memoizes payloads until the dataset's invalidation
+        epoch moves; ``cache_ttl_s`` does not bound that memo.
+        ``worker_context`` picks the multiprocessing start method
+        (``None``: fork where available, else spawn);
         ``worker_grace_s`` is the slack past a request's deadline before
-        a wedged worker is killed and respawned; ``worker_memo_size``
-        bounds each worker's compile-tier memo; ``plan_cache_size``
-        bounds the shared cross-process compile-artifact cache; and
+        a wedged worker is killed and respawned; and
         ``shutdown_grace_s`` bounds how long :meth:`QueryService.stop`
         waits for threads and processes before escalating.
     """
@@ -72,10 +70,7 @@ class ServiceConfig:
     degrade_queue_depth: Optional[int] = None
     worker_processes: int = 0
     worker_context: Optional[str] = None
-    route_by: str = "query"
     worker_grace_s: float = 2.0
-    worker_memo_size: int = 256
-    plan_cache_size: int = 256
     shutdown_grace_s: float = 5.0
 
     def __post_init__(self) -> None:
@@ -120,21 +115,9 @@ class ServiceConfig:
                 "worker_context must be None, 'fork', 'spawn' or "
                 f"'forkserver', got {self.worker_context!r}"
             )
-        if self.route_by not in ("query", "dataset"):
-            raise ValueError(
-                f"route_by must be 'query' or 'dataset', got {self.route_by!r}"
-            )
         if self.worker_grace_s <= 0:
             raise ValueError(
                 f"worker_grace_s must be > 0, got {self.worker_grace_s}"
-            )
-        if self.worker_memo_size < 1:
-            raise ValueError(
-                f"worker_memo_size must be >= 1, got {self.worker_memo_size}"
-            )
-        if self.plan_cache_size < 1:
-            raise ValueError(
-                f"plan_cache_size must be >= 1, got {self.plan_cache_size}"
             )
         if self.shutdown_grace_s <= 0:
             raise ValueError(

@@ -39,6 +39,7 @@ requests instead of severing their sockets mid-body.
 from __future__ import annotations
 
 import itertools
+import math
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -126,8 +127,11 @@ class _Handler(BaseHTTPRequestHandler):
             try:
                 deadline_s = float(deadline_raw) / 1000.0
             except ValueError:
+                deadline_s = math.nan
+            # nan/inf cannot bound a wait; 0 and negatives stay a 504
+            if not math.isfinite(deadline_s):
                 return None, (
-                    "parameter 'deadline_ms' must be a number, got "
+                    "parameter 'deadline_ms' must be a finite number, got "
                     f"{deadline_raw!r}"
                 )
         return (

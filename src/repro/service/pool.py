@@ -9,22 +9,17 @@ per dataset, with the front end multiplexing requests onto them over
 :mod:`multiprocessing` pipes (see ``repro/service/proto.py`` for the wire
 and error contract).
 
-Division of labour — the **two-tier split**:
+A worker builds a response with the same
+:func:`~repro.service.service.compute_payload` the thread tier calls, so
+both tiers answer from one code path.  In front of it each worker keeps
+a payload memo: a :class:`~repro.service.cache.ResultCache` with no TTL,
+keyed like the front end's result cache and emptied per dataset when
+that dataset's invalidation epoch moves.
 
-* the **compile tier** (keyword → ranked patterns → translated SQL) is
-  pure CPU and highly cacheable.  Each worker keeps an LRU *compile memo*
-  (query → compiled interpretations), and the front end keeps a shared
-  cross-process artifact cache of the rendered-SQL fragments; a request
-  whose fragment is already known ships the artifact along, and the
-  worker compiles only the best interpretation (``k=1``) instead of all
-  ``k`` — the truncation ``ranked[:k]`` makes the best interpretation
-  invariant over ``k``, so the spliced payload is byte-identical.
-* the **execute tier** (physical plan over the data) always runs fresh in
-  the worker that owns the route key.
-
-Routing is consistent hashing (stable MD5 ring, virtual nodes) over the
-dataset — or ``(dataset, query)`` in ``route_by="query"`` mode — so each
-worker owns a *hot* pattern/plan/memo cache instead of N cold copies.
+Routing is consistent hashing (stable MD5 ring, virtual nodes) over
+``(dataset, query)``, so repeats of a query reach the worker whose memo
+and engine caches are already hot, while one dataset's traffic still
+spreads over every worker.
 
 Lifecycle: fork-or-spawn aware (fork inherits the parent's already-built
 engines copy-on-write; spawn rebuilds from a picklable factory), crash
@@ -41,17 +36,19 @@ This is the only module in the repository allowed to import
 from __future__ import annotations
 
 import hashlib
+import math
 import multiprocessing
 import signal
 import threading
 import time
 from bisect import bisect_right
-from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from repro.cancellation import CancellationToken, cancellation_scope
 from repro.errors import DeadlineExceededError
 from repro.service import proto
+from repro.service.cache import ResultCache
+from repro.service.service import compute_payload
 
 __all__ = ["WorkerPool", "WorkerFactory"]
 
@@ -64,6 +61,7 @@ WorkerFactory = Callable[[], Mapping[str, Tuple[Any, Any]]]
 _VNODES = 64  # virtual nodes per worker on the hash ring
 _BOOT_TIMEOUT_S = 60.0  # readiness ping after (re)spawn
 _DISPATCH_GRACE_S = 2.0  # slack past the deadline before a worker is killed
+_MEMO_SIZE = 256  # payloads each worker memoizes
 
 
 def default_start_method() -> str:
@@ -84,57 +82,20 @@ def _stable_hash(key: Any) -> int:
 # ======================================================================
 # Worker side (runs in the child process)
 # ======================================================================
-class _CompileMemo:
-    """Per-worker LRU of compiled interpretation lists (the compile tier).
-
-    Keyed ``(dataset, query, k, backend)``.  Entries are dropped whenever
-    the owning dataset's invalidation epoch moves — compiled plans close
-    over data structures that ``clear_cache()`` declares stale."""
-
-    def __init__(self, size: int) -> None:
-        self.size = size
-        self._entries: "OrderedDict[Tuple, List[Any]]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-
-    def compile(self, engine: Any, dataset: str, query: str, k: int, backend: str):
-        key = (dataset, query, k, backend)
-        cached = self._entries.get(key)
-        if cached is not None:
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return cached
-        self.misses += 1
-        interpretations = engine.compile(query, k, backend=backend)
-        self._entries[key] = interpretations
-        while len(self._entries) > self.size:
-            self._entries.popitem(last=False)
-        return interpretations
-
-    def invalidate(self, dataset: Optional[str]) -> None:
-        if dataset is None:
-            self._entries.clear()
-            return
-        for key in [k for k in self._entries if k[0] == dataset]:
-            del self._entries[key]
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-
 class _WorkerState:
     """Everything one worker process owns."""
 
-    def __init__(self, worker_id: int, factory: WorkerFactory, memo_size: int):
+    def __init__(self, worker_id: int, factory: WorkerFactory):
         self.worker_id = worker_id
         self.runtimes = dict(factory())
-        self.memo = _CompileMemo(memo_size)
+        # keyed (dataset, engine, mode, query, k, backend); a raised
+        # error is never stored, so a rejection is recomputed every time
+        self.memo = ResultCache(size=_MEMO_SIZE, ttl_s=math.inf)
         self.epochs: Dict[str, int] = {}
         self.counters: Dict[str, int] = {
             "requests": 0,
             "compile_memo_hits": 0,
             "compile_memo_misses": 0,
-            "artifact_fast_path": 0,
             "cache_clears": 0,
         }
 
@@ -162,9 +123,9 @@ class _WorkerState:
                 # public API; any invalidation hooks fire on this process's
                 # own (forked or rebuilt) copies, which is exactly right
                 runtime[0].clear_cache()
-            self.memo.invalidate(name)
             if epoch is not None:
                 self.epochs[name] = epoch
+        self.memo.invalidate(lambda key: key[0] in names)
 
     # -- ops ------------------------------------------------------------
     def handle(self, msg: Dict[str, Any]) -> Dict[str, Any]:
@@ -178,18 +139,14 @@ class _WorkerState:
             return proto.ok_reply({"cleared": True})
         if op == proto.OP_METRICS:
             return proto.ok_reply(self._metrics())
+        if op != proto.OP_SERVE:
+            return proto.error_reply(ValueError(f"unknown op {op!r}"))
         try:
-            if op == proto.OP_SEARCH:
-                return proto.ok_reply(self._search(msg))
-            if op == proto.OP_SQAK:
-                return proto.ok_reply(self._sqak(msg))
-            if op == proto.OP_ANALYZE:
-                return proto.ok_reply(self._analyze(msg))
+            return proto.ok_reply(self._serve(msg))
         except BaseException as exc:  # classified for the wire
             if isinstance(exc, (KeyboardInterrupt, SystemExit)):
                 raise
             return proto.error_reply(exc)
-        return proto.error_reply(ValueError(f"unknown op {op!r}"))
 
     def _scope(self, msg: Dict[str, Any]) -> CancellationToken:
         deadline_s = msg.get("deadline_s")
@@ -199,82 +156,40 @@ class _WorkerState:
             )
         return CancellationToken(reason="request")
 
-    def _runtime(self, msg: Dict[str, Any]) -> Tuple[Any, Any, str]:
+    def _serve(self, msg: Dict[str, Any]) -> Dict[str, Any]:
         dataset = msg["dataset"]
         runtime = self.runtimes.get(dataset)
         if runtime is None:
             raise KeyError(f"worker has no dataset {dataset!r}")
         self.sync_epoch(dataset, msg.get("epoch", 0))
-        return runtime[0], runtime[1], dataset
-
-    def _search(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.service.service import (
-            assemble_semantic_payload,
-            interpretations_fragment,
-            semantic_search_payload,
+        self.counters["requests"] += 1
+        engine_name, mode, query, k, backend = (
+            msg["engine"], msg["mode"], msg["query"], msg["k"], msg["backend"]
         )
 
-        engine, _, dataset = self._runtime(msg)
-        self.counters["requests"] += 1
-        query, k, backend = msg["query"], msg["k"], msg["backend"]
-        artifact = msg.get("artifact")
-        with cancellation_scope(self._scope(msg)):
-            if artifact is not None and not engine.strict:
-                # compile tier already ran elsewhere: compile only the
-                # best interpretation (k=1 prefix of the same ranking)
-                # and splice the shared fragment in.
-                self.counters["artifact_fast_path"] += 1
-                interps = self.memo.compile(engine, dataset, query, 1, backend)
-                executed = interps[0].execute()
-                payload = assemble_semantic_payload(
-                    dataset, backend or engine.backend.name, query, k,
-                    artifact, executed,
+        def compute() -> Dict[str, Any]:
+            with cancellation_scope(self._scope(msg)):
+                return compute_payload(
+                    runtime[0],
+                    runtime[1],
+                    dataset,
+                    mode,
+                    engine_name,
+                    query,
+                    k,
+                    backend,
                 )
-                fragment = artifact
-            elif engine.strict:
-                # strict engines run the full analysis gate inside
-                # search(); no memo (diagnostics are attached per run)
-                payload = semantic_search_payload(
-                    engine, dataset, query, k, backend=backend
-                )
-                fragment = payload["interpretations"]
-            else:
-                interps = self.memo.compile(engine, dataset, query, k, backend)
-                executed = interps[0].execute()
-                fragment = interpretations_fragment(interps)
-                payload = assemble_semantic_payload(
-                    dataset, backend or engine.backend.name, query, k,
-                    fragment, executed,
-                )
-        self._sync_memo_counters()
-        return {"payload": payload, "fragment": fragment}
 
-    def _sqak(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.service.service import sqak_search_payload
-
-        _, sqak, dataset = self._runtime(msg)
-        self.counters["requests"] += 1
-        if sqak is None:
-            raise KeyError(f"worker has no SQAK baseline for {dataset!r}")
-        with cancellation_scope(self._scope(msg)):
-            payload = sqak_search_payload(sqak, dataset, msg["query"])
+        key = (dataset, engine_name, mode, query, k, backend)
+        payload, _ = self.memo.get_or_compute(key, compute, observe=self._count_memo)
         return {"payload": payload}
 
-    def _analyze(self, msg: Dict[str, Any]) -> Dict[str, Any]:
-        from repro.service.service import analyze_payload
-
-        engine, _, dataset = self._runtime(msg)
-        self.counters["requests"] += 1
-        with cancellation_scope(self._scope(msg)):
-            payload = analyze_payload(engine, dataset, msg["query"], msg["k"])
-        return {"payload": payload}
-
-    def _sync_memo_counters(self) -> None:
-        self.counters["compile_memo_hits"] = self.memo.hits
-        self.counters["compile_memo_misses"] = self.memo.misses
+    def _count_memo(self, outcome: str) -> None:
+        self.counters[
+            "compile_memo_hits" if outcome == "hit" else "compile_memo_misses"
+        ] += 1
 
     def _metrics(self) -> Dict[str, Any]:
-        self._sync_memo_counters()
         return {
             "counters": dict(self.counters),
             "memo_entries": len(self.memo),
@@ -287,15 +202,13 @@ class _WorkerState:
         }
 
 
-def _worker_main(
-    worker_id: int, conn: Any, factory: WorkerFactory, memo_size: int
-) -> None:
+def _worker_main(worker_id: int, conn: Any, factory: WorkerFactory) -> None:
     """The child process loop: recv → handle → send, until shutdown."""
     # a terminal Ctrl-C signals the whole foreground process group;
     # shutdown is the parent's job (OP_SHUTDOWN / closed pipe), so the
     # workers must not die mid-protocol with a KeyboardInterrupt
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    state = _WorkerState(worker_id, factory, memo_size)
+    state = _WorkerState(worker_id, factory)
     while True:
         try:
             msg = conn.recv()
@@ -339,15 +252,11 @@ class WorkerPool:
         factory: WorkerFactory,
         workers: int,
         context: Optional[str] = None,
-        route_by: str = "query",
         grace_s: float = _DISPATCH_GRACE_S,
-        memo_size: int = 256,
         boot_timeout_s: float = _BOOT_TIMEOUT_S,
     ) -> None:
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if route_by not in ("query", "dataset"):
-            raise ValueError(f"route_by must be 'query' or 'dataset', got {route_by!r}")
         methods = multiprocessing.get_all_start_methods()
         if context is None:
             context = default_start_method()
@@ -356,9 +265,7 @@ class WorkerPool:
                 f"start method {context!r} unavailable (have: {methods})"
             )
         self.context_name = context
-        self.route_by = route_by
         self.grace_s = grace_s
-        self.memo_size = memo_size
         self.boot_timeout_s = boot_timeout_s
         self._factory = factory
         self._ctx = multiprocessing.get_context(context)
@@ -458,7 +365,7 @@ class WorkerPool:
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         process = self._ctx.Process(
             target=_worker_main,
-            args=(handle.worker_id, child_conn, self._factory, self.memo_size),
+            args=(handle.worker_id, child_conn, self._factory),
             name=f"repro-pool-worker-{handle.worker_id}",
             daemon=True,
         )
@@ -487,12 +394,9 @@ class WorkerPool:
         points.sort()
         return points
 
-    def route(self, dataset: str, query: Optional[str] = None) -> int:
-        """The worker that owns this key's hot caches."""
-        key: Any = dataset
-        if self.route_by == "query" and query is not None:
-            key = (dataset, query)
-        point = _stable_hash(key)
+    def route(self, dataset: str, query: str) -> int:
+        """The worker that owns this query's hot caches."""
+        point = _stable_hash((dataset, query))
         index = bisect_right(self._ring, (point, len(self._handles)))
         if index >= len(self._ring):
             index = 0
@@ -505,7 +409,7 @@ class WorkerPool:
         self,
         op: str,
         dataset: str,
-        query: Optional[str] = None,
+        query: str,
         deadline_s: Optional[float] = None,
         **fields: Any,
     ) -> Dict[str, Any]:
@@ -625,7 +529,6 @@ class WorkerPool:
             pool_counters = dict(self.counters)
         return {
             "context": self.context_name,
-            "route_by": self.route_by,
             "workers": workers,
             "pool": pool_counters,
         }
@@ -637,6 +540,5 @@ class WorkerPool:
             "workers": self.workers,
             "alive": sum(1 for handle in self._handles if handle.alive),
             "context": self.context_name,
-            "route_by": self.route_by,
             "respawns": respawns,
         }

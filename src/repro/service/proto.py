@@ -47,13 +47,11 @@ from repro.errors import (
 )
 
 __all__ = [
-    "OP_ANALYZE",
     "OP_CLEAR",
     "OP_METRICS",
     "OP_PING",
-    "OP_SEARCH",
+    "OP_SERVE",
     "OP_SHUTDOWN",
-    "OP_SQAK",
     "RemoteWorkerError",
     "WorkerCrashError",
     "classify_exception",
@@ -68,18 +66,14 @@ __all__ = [
 # Operations
 # ----------------------------------------------------------------------
 OP_PING = "ping"  # liveness / readiness barrier
-OP_SEARCH = "search"  # semantic search -> full response payload
-OP_SQAK = "sqak"  # SQAK baseline search -> full response payload
-OP_ANALYZE = "analyze"  # static analysis -> diagnostics payload
-OP_CLEAR = "clear"  # drop engine caches + compile memo (epoch bump)
+OP_SERVE = "serve"  # one service request -> its response payload
+OP_CLEAR = "clear"  # drop engine caches + payload memo (epoch bump)
 OP_METRICS = "metrics"  # worker-side counters + engine metric snapshots
 OP_SHUTDOWN = "shutdown"  # clean exit of the worker loop
 
 #: Ops that are pure reads and therefore safe to retry once on a fresh
 #: worker after a crash (exactly-once responses, at-most-twice compute).
-IDEMPOTENT_OPS = frozenset(
-    {OP_PING, OP_SEARCH, OP_SQAK, OP_ANALYZE, OP_METRICS, OP_CLEAR}
-)
+IDEMPOTENT_OPS = frozenset({OP_PING, OP_SERVE, OP_METRICS, OP_CLEAR})
 
 KIND_DEADLINE = "deadline"
 KIND_INVALID = "invalid"

@@ -6,6 +6,7 @@ explicitly; every request goes through real sockets via urllib.
 
 from __future__ import annotations
 
+import io
 import json
 import threading
 import urllib.error
@@ -75,8 +76,11 @@ class TestRouting:
 
     def test_bad_deadline_400(self, served):
         _, base = served
-        status, _ = get(base, "/search?q=AVG+Credit&deadline_ms=soon")
-        assert status == 400
+        # nan and inf (1e400 overflows to inf) cannot bound a wait
+        for raw in ("soon", "nan", "inf", "1e400"):
+            status, body = get(base, "/search?q=AVG+Credit&deadline_ms=" + raw)
+            assert status == 400, raw
+            assert "deadline_ms" in body["error"]
 
 
 class TestSearch:
@@ -154,6 +158,17 @@ class TestServeCli:
         from repro.service.cli import run_serve
 
         assert run_serve(["--datasets", ","]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--cache-ttl", "-1"], ["--workers", "0"], ["--worker-processes", "-1"]],
+    )
+    def test_run_serve_rejects_invalid_config(self, argv):
+        from repro.service.cli import run_serve
+
+        out = io.StringIO()
+        assert run_serve(argv, out=out) == 2
+        assert out.getvalue().startswith("error: ")
 
     def test_build_service_registers_sqak(self):
         from repro.service.cli import build_service

@@ -3,7 +3,7 @@ routing, cache coherence and pool-mode byte equivalence.
 
 The low-level tests drive a :class:`~repro.service.pool.WorkerPool`
 directly over stub engines whose behaviour is encoded in the query
-string (``sleep:<s>`` blocks inside the compile tier, ``raise:<kind>``
+string (``sleep:<s>`` blocks inside the search, ``raise:<kind>``
 fails it), so worker processes can be killed mid-request and the
 parent's recovery observed deterministically.  The high-level tests
 mirror ``test_concurrency.py``'s 8-thread mixed-load sweep against a
@@ -56,21 +56,29 @@ class _StubBackend:
     name = "memory"
 
 
+class _StubResult:
+    def __init__(self, interpretations) -> None:
+        self.interpretations = interpretations
+        self.best = interpretations[0]
+
+
 class _StubEngine:
-    """Behaviour-by-query-string engine: ``sleep:<s>`` blocks in compile,
+    """Behaviour-by-query-string engine: ``sleep:<s>`` blocks in search,
     ``raise:invalid`` / ``raise:internal`` fail it."""
 
     strict = False
     backend = _StubBackend()
 
-    def compile(self, query: str, k: int, backend=None):
+    def search(self, query: str, k: int, backend=None) -> _StubResult:
         if query.startswith("sleep:"):
             time.sleep(float(query.split(":", 1)[1]))
         if query == "raise:invalid":
             raise KeywordQueryError("no interpretation for stub query")
         if query == "raise:internal":
             raise ValueError("stub engine exploded")
-        return [_StubInterpretation(query, rank) for rank in range(1, k + 1)]
+        return _StubResult(
+            [_StubInterpretation(query, rank) for rank in range(1, k + 1)]
+        )
 
     def clear_cache(self) -> None:
         pass
@@ -81,7 +89,13 @@ def _stub_runtimes():
 
 
 def _search_msg(query: str, k: int = 3, **extra):
-    fields = {"k": k, "backend": "memory", "epoch": 0}
+    fields = {
+        "engine": "semantic",
+        "mode": "search",
+        "k": k,
+        "backend": "memory",
+        "epoch": 0,
+    }
     fields.update(extra)
     return fields
 
@@ -98,14 +112,14 @@ def test_worker_killed_mid_request_respawns_and_answers_exactly_once():
         def dispatch() -> None:
             try:
                 results.append(
-                    pool.dispatch("search", "stub", "sleep:0.6", **_search_msg("sleep:0.6"))
+                    pool.dispatch("serve", "stub", "sleep:0.6", **_search_msg("sleep:0.6"))
                 )
             except Exception as exc:  # pragma: no cover - diagnostic aid
                 errors.append(exc)
 
         thread = threading.Thread(target=dispatch, daemon=True)
         thread.start()
-        time.sleep(0.2)  # the worker is now inside the 0.6s compile
+        time.sleep(0.2)  # the worker is now inside the 0.6s search
         os.kill(first_pid, signal.SIGKILL)
         thread.join(30.0)
         assert not thread.is_alive(), "dispatch never returned after the kill"
@@ -126,7 +140,7 @@ def test_dead_idle_worker_is_respawned_on_next_dispatch():
         handle = pool._handles[0]
         os.kill(handle.process.pid, signal.SIGKILL)
         handle.process.join(5.0)
-        result = pool.dispatch("search", "stub", "warm", **_search_msg("warm"))
+        result = pool.dispatch("serve", "stub", "warm", **_search_msg("warm"))
         assert result["payload"]["query"] == "warm"
         assert handle.restarts == 1
         # the death was noticed before the send: no crash retry needed
@@ -142,7 +156,7 @@ def test_wedged_worker_is_killed_at_deadline_plus_grace():
         wedged_pid = handle.process.pid
         with pytest.raises(DeadlineExceededError):
             pool.dispatch(
-                "search",
+                "serve",
                 "stub",
                 "sleep:30",
                 deadline_s=0.2,
@@ -150,7 +164,7 @@ def test_wedged_worker_is_killed_at_deadline_plus_grace():
             )
         assert pool.counters["deadline_kills"] == 1
         # the pool recovers: the next request lands on a fresh worker
-        result = pool.dispatch("search", "stub", "after", **_search_msg("after"))
+        result = pool.dispatch("serve", "stub", "after", **_search_msg("after"))
         assert result["payload"]["query"] == "after"
         assert handle.process.pid != wedged_pid
 
@@ -162,11 +176,11 @@ def test_worker_exceptions_surface_as_their_in_process_classes():
     with WorkerPool(_stub_runtimes, workers=1) as pool:
         with pytest.raises(KeywordQueryError, match="no interpretation"):
             pool.dispatch(
-                "search", "stub", "raise:invalid", **_search_msg("raise:invalid")
+                "serve", "stub", "raise:invalid", **_search_msg("raise:invalid")
             )
         with pytest.raises(RemoteWorkerError) as excinfo:
             pool.dispatch(
-                "search", "stub", "raise:internal", **_search_msg("raise:internal")
+                "serve", "stub", "raise:internal", **_search_msg("raise:internal")
             )
         # pre-formatted by the worker: original type, no double wrapping
         assert str(excinfo.value) == "ValueError: stub engine exploded"
@@ -188,35 +202,32 @@ def test_routing_is_stable_and_covers_every_worker():
         )
 
 
-def test_route_by_dataset_gives_strict_ownership():
-    pool = WorkerPool(_stub_runtimes, workers=4, route_by="dataset")
-    owner = pool.route("stub", "query a")
-    assert all(pool.route("stub", f"query {i}") == owner for i in range(50))
-
-
 # ----------------------------------------------------------------------
 # Cache coherence (epochs)
 # ----------------------------------------------------------------------
 def test_epoch_bump_clears_worker_caches_and_fresh_workers_adopt():
     with WorkerPool(_stub_runtimes, workers=1) as pool:
         # first contact at epoch 5: adopt without clearing (fresh caches)
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=5))
+        pool.dispatch("serve", "stub", "warm", **_search_msg("warm", epoch=5))
         snapshot = pool.metrics_snapshot()["workers"]["0"]
         assert snapshot["epochs"] == {"stub": 5}
         assert snapshot["counters"]["cache_clears"] == 0
         # same epoch: memo survives (second identical request hits it)
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=5))
+        pool.dispatch("serve", "stub", "warm", **_search_msg("warm", epoch=5))
         assert (
             pool.metrics_snapshot()["workers"]["0"]["counters"][
                 "compile_memo_hits"
             ]
             == 1
         )
-        # epoch moved past the worker's view: it clears before serving
-        pool.dispatch("search", "stub", "warm", **_search_msg("warm", epoch=6))
+        # epoch moved past the worker's view: it clears before serving,
+        # so the same request misses the memo again
+        pool.dispatch("serve", "stub", "warm", **_search_msg("warm", epoch=6))
         snapshot = pool.metrics_snapshot()["workers"]["0"]
         assert snapshot["epochs"] == {"stub": 6}
         assert snapshot["counters"]["cache_clears"] == 1
+        assert snapshot["counters"]["compile_memo_hits"] == 1
+        assert snapshot["counters"]["compile_memo_misses"] == 2
         assert pool.broadcast_clear("stub", 7) == 1
         assert pool.metrics_snapshot()["workers"]["0"]["epochs"] == {"stub": 7}
 
@@ -452,3 +463,28 @@ def test_pool_mode_invalidation_propagates(university_db):
         assert any(
             entry["counters"]["cache_clears"] >= 1 for entry in workers.values()
         )
+
+
+def test_pool_mode_strict_engine_memoizes_payloads_not_rejections(university_db):
+    """A strict engine behind the worker memo: an accepted query is served
+    byte-identically on both requests, and a rejected one (S010, AVG over
+    a text column) stays rejected because a raised error is never stored."""
+    from repro.engine import KeywordSearchEngine
+
+    engine = KeywordSearchEngine(university_db, strict=True)
+    service = _pool_service(engine, worker_processes=2, cache_ttl_s=0.0)
+    expected = canonical_json(
+        semantic_search_payload(engine, "university", "AVG Credit", 3)
+    )
+    with service:
+        for _ in range(2):
+            response = service.serve(ServiceRequest(query="AVG Credit"), timeout=30.0)
+            assert response.ok and response.body() == expected
+        for _ in range(2):
+            rejected = service.serve(ServiceRequest(query="AVG Dname"), timeout=30.0)
+            assert rejected.status == "invalid"
+            assert "S010" in rejected.payload["error"]
+        workers = service.metrics_snapshot()["workers"]["workers"]
+    counters = [entry["counters"] for entry in workers.values()]
+    assert sum(c["compile_memo_hits"] for c in counters) == 1
+    assert sum(c["compile_memo_misses"] for c in counters) == 3

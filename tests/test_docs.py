@@ -62,3 +62,15 @@ def test_docs_cross_linked_from_readme():
     assert "docs/ANALYSIS.md" in readme
     assert "docs/SERVING.md" in readme
     assert "docs/BACKENDS.md" in readme
+
+
+def test_serving_knob_table_matches_service_config():
+    """docs/SERVING.md's knob table lists exactly the ServiceConfig fields."""
+    import dataclasses
+
+    from repro.service import ServiceConfig
+
+    text = (REPO_ROOT / "docs/SERVING.md").read_text()
+    section = text.split("## Configuration knobs", 1)[1].split("\n## ", 1)[0]
+    knobs = re.findall(r"^\| `(\w+)` \|", section, re.MULTILINE)
+    assert knobs == [field.name for field in dataclasses.fields(ServiceConfig)]
